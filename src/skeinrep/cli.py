@@ -1,9 +1,10 @@
 """Command-line frontend for bracket evaluation, projector tables, hom
 dimensions, Gram matrices, and batch equivalence verification.
 
-Exit codes: 0 success (and all verdicts iso), 1 usage or parse error
-(including poles at roots of unity and invalid colors), 2 verification
-failure (some pair is not an isomorphism, or a Gram override broke one).
+Exit codes: 0 success (and all verdicts iso), 1 usage, parse or arithmetic
+error (including poles at roots of unity, invalid colors and a malformed or
+unmatched Gram override), 2 verification failure (some pair is not an
+isomorphism, or a Gram override broke one).
 """
 
 import argparse
@@ -12,10 +13,10 @@ import sys
 
 from . import linalg
 from .diagrams import WordError, bracket, parse_word
-from .scalars import (GENERIC, Mode, PoleError, format_scalar, parse_mode,
-                      parse_scalar, specialize)
+from .scalars import (Mode, format_scalar, parse_mode, parse_scalar,
+                      specialize)
 from .tl_category import jones_wenzl
-from .turaev import gram_matrix, hom_basis, object_seq
+from .turaev import gram_matrix, good_type_diagrams, object_seq
 from .functor import FunctorReport, verify_equivalence
 
 
@@ -119,27 +120,76 @@ def _cmd_homdim(args, mode: Mode) -> int:
     return 0 if rep.verdict == "iso" else 2
 
 
+def _override_mode(value) -> Mode:
+    if not isinstance(value, str):
+        raise ValueError("expected a string such as 'generic' or 'root:5'")
+    return parse_mode(value)
+
+
+def _override_colors(value, mode: Mode) -> tuple:
+    if not (isinstance(value, list)
+            and all(type(n) is int for n in value)):
+        raise ValueError("expected a list of integer colors")
+    return object_seq(value, mode)
+
+
+def _override_entry(value, mode: Mode):
+    if not isinstance(value, str):
+        raise ValueError("expected a scalar string")
+    x = parse_scalar(value)
+    return specialize(x, mode.r) if mode.is_root else x
+
+
 def _load_gram_override(path: str):
+    """The normalized (source, target, mode) an override file names, and
+    the rank of its matrix, checked against the shape of the true one."""
     with open(path) as fh:
-        data = json.load(fh)
-    mode = parse_mode(data["mode"])
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object with keys "
+                         "'source', 'target', 'mode' and 'matrix'")
+    for name in ("source", "target", "mode", "matrix"):
+        if name not in data:
+            raise UsageError(f"{path}: missing key {name!r}")
+
+    def field(name, parse, *args):
+        try:
+            return parse(data[name], *args)
+        except ValueError as exc:
+            raise UsageError(f"{path}: key {name!r}: {exc}") from None
+
+    mode = field("mode", _override_mode)
+    s = field("source", _override_colors, mode)
+    t = field("target", _override_colors, mode)
+    shape = (len(good_type_diagrams(s, t)), len(good_type_diagrams(t, s)))
+    matrix = data["matrix"]
+    if not isinstance(matrix, list) or len(matrix) != shape[0]:
+        raise UsageError(f"{path}: key 'matrix': expected {shape[0]} rows "
+                         f"of {shape[1]} entries for {_format_seq(s)} -> "
+                         f"{_format_seq(t)}")
     rows = []
-    for row in data["matrix"]:
-        parsed = []
-        for entry in row:
-            x = parse_scalar(entry)
-            if mode.is_root:
-                x = specialize(x, mode.r)
-            parsed.append(x)
+    for i, row in enumerate(matrix, start=1):
+        if not isinstance(row, list) or len(row) != shape[1]:
+            raise UsageError(f"{path}: matrix row {i}: expected "
+                             f"{shape[1]} entries")
+        parsed = {}
+        for j, entry in enumerate(row, start=1):
+            try:
+                x = _override_entry(entry, mode)
+            except (ValueError, ArithmeticError) as exc:
+                raise UsageError(
+                    f"{path}: matrix row {i}, column {j}: {exc}") from None
+            if not x.is_zero():
+                parsed[j] = x
         rows.append(parsed)
-    rank = linalg.rank([{j: x for j, x in enumerate(row) if not x.is_zero()}
-                        for row in rows])
-    key = (tuple(data["source"]), tuple(data["target"]), str(mode))
-    return key, rank
+    return (s, t, mode), linalg.rank(rows)
 
 
 def _cmd_verify(args, default_mode: Mode) -> int:
-    override = None
+    override, matched = None, False
     if args.gram_override:
         override = _load_gram_override(args.gram_override)
     with open(args.batch_file) as fh:
@@ -165,15 +215,21 @@ def _cmd_verify(args, default_mode: Mode) -> int:
         try:
             rep = verify_equivalence(_parse_seq(s_text), _parse_seq(t_text),
                                      mode)
-        except (UsageError, ValueError, PoleError) as exc:
+        except (UsageError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"{args.batch_file}:{lineno}: {exc}") from None
         if override is not None:
             key, rank = override
-            if (rep.source, rep.target, str(rep.mode)) == key:
+            if (rep.source, rep.target, rep.mode) == key:
+                matched = True
                 rep = FunctorReport(rep.source, rep.target, rank,
                                     rep.dim_rep_side, rep.matrix_rank,
                                     rep.mode)
         reports.append(rep)
+    if override is not None and not matched:
+        s, t, mode = override[0]
+        raise UsageError(
+            f"{args.gram_override}: {_format_seq(s)} ; {_format_seq(t)} ; "
+            f"{mode} matches no pair of {args.batch_file}")
     all_iso = all(r.verdict == "iso" for r in reports)
     if args.format == "json":
         payload = {"all_iso": all_iso,
@@ -253,13 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         mode = parse_mode(args.mode)
         return _HANDLERS[args.subcommand](args, mode)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (WordError, PoleError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, WordError, ArithmeticError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,6 +17,8 @@ and the negative crossing with a and a^-1 exchanged.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .scalars import GENERIC, Mode, sum_scalars
 
 
@@ -97,17 +99,11 @@ def _is_planar(k: int, l: int, match) -> bool:
     return not stack
 
 
-_enum_cache: dict = {}
-
-
+@cache
 def enumerate_simple(k: int, l: int) -> list:
     """All simple (k,l)-diagrams, ordered lexicographically on the
     involution array.  Empty when k+l is odd."""
-    key = (k, l)
-    if key in _enum_cache:
-        return _enum_cache[key]
     if (k + l) % 2:
-        _enum_cache[key] = []
         return []
     order = _boundary_order(k, l)
     out = []
@@ -131,7 +127,6 @@ def enumerate_simple(k: int, l: int) -> list:
             match[p], match[q] = q, p
         out.append(SimpleDiagram(k, l, tuple(match)))
     out.sort(key=lambda d: d.match)
-    _enum_cache[key] = out
     return out
 
 
@@ -184,18 +179,12 @@ def cap_diagram(i: int, n: int) -> SimpleDiagram:
 # ---------------------------------------------------------------------------
 # stacking with loop removal
 
-_stack_cache: dict = {}
-
-
+@cache
 def stack_simple(top: SimpleDiagram, bot: SimpleDiagram):
     """Glue bot's outputs to top's inputs; returns (SimpleDiagram, loops)."""
     if bot.outputs != top.inputs:
         raise ValueError(
             f"cannot stack {top.inputs} inputs onto {bot.outputs} outputs")
-    key = (top, bot)
-    hit = _stack_cache.get(key)
-    if hit is not None:
-        return hit
     k, l, m = bot.inputs, bot.outputs, top.outputs
     # result boundary indices: bottom 0..k-1 (bot's inputs), then
     # k..k+m-1 (top's outputs); interface strands get l extra nodes
@@ -241,9 +230,7 @@ def stack_simple(top: SimpleDiagram, bot: SimpleDiagram):
             use_bot = not use_bot
             if p == s:
                 break
-    result = (SimpleDiagram(k, m, tuple(match)), loops)
-    _stack_cache[key] = result
-    return result
+    return SimpleDiagram(k, m, tuple(match)), loops
 
 
 def tensor_simple(left: SimpleDiagram, right: SimpleDiagram) -> SimpleDiagram:

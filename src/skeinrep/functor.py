@@ -13,6 +13,7 @@ is an equivalence on the pair exactly when all three agree.
 """
 
 import math
+from functools import cache
 
 from .scalars import (GENERIC, Mode, PoleError, ScalarGeneric,
                       _lmul, _poly_divexact, _poly_gcd)
@@ -28,15 +29,9 @@ from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
 # ---------------------------------------------------------------------------
 # the functor on simple diagrams
 
-_layer_cache: dict = {}
-
-
+@cache
 def _cap_layer(i: int, n: int, mode: Mode) -> RepMap:
     # d on strands (i, i+1) of n, 1-indexed: d(v0 x v1) = 1, d(v1 x v0) = -q^-1
-    key = ("cap", i, n, mode)
-    hit = _layer_cache.get(key)
-    if hit is not None:
-        return hit
     one = mode.one()
     mqinv = -mode.a_power(-2)
     s = n - i - 1  # bit shift of strand i+1; strand i sits at s+1
@@ -45,17 +40,12 @@ def _cap_layer(i: int, n: int, mode: Mode) -> RepMap:
         base = ((tgt >> s) << (s + 2)) | (tgt & ((1 << s) - 1))
         entries[(tgt, base | (0b01 << s))] = one
         entries[(tgt, base | (0b10 << s))] = mqinv
-    out = RepMap(n, n - 2, entries, mode)
-    _layer_cache[key] = out
-    return out
+    return RepMap(n, n - 2, entries, mode)
 
 
+@cache
 def _cup_layer(i: int, n: int, mode: Mode) -> RepMap:
     # b inserting strands (i, i+1) into n, 1-indexed: b(1) = v1 x v0 - q v0 x v1
-    key = ("cup", i, n, mode)
-    hit = _layer_cache.get(key)
-    if hit is not None:
-        return hit
     one = mode.one()
     mq = -mode.a_power(2)
     s = n - i - 1
@@ -64,9 +54,7 @@ def _cup_layer(i: int, n: int, mode: Mode) -> RepMap:
         base = ((src >> s) << (s + 2)) | (src & ((1 << s) - 1))
         entries[(base | (0b10 << s), src)] = one
         entries[(base | (0b01 << s), src)] = mq
-    out = RepMap(n - 2, n, entries, mode)
-    _layer_cache[key] = out
-    return out
+    return RepMap(n - 2, n, entries, mode)
 
 
 def _drop_pair(d: SimpleDiagram, u: int) -> SimpleDiagram:
@@ -84,15 +72,9 @@ def _drop_pair(d: SimpleDiagram, u: int) -> SimpleDiagram:
     return SimpleDiagram(k, l, tuple(match))
 
 
-_simple_cache: dict = {}
-
-
+@cache
 def _simple_rep(d: SimpleDiagram, mode: Mode) -> RepMap:
     """Image of a simple diagram: caps innermost-first, then cups."""
-    key = (d.inputs, d.outputs, d.match, mode)
-    hit = _simple_cache.get(key)
-    if hit is not None:
-        return hit
     k, l = d.inputs, d.outputs
     out = None
     for p in range(k - 1):
@@ -111,7 +93,6 @@ def _simple_rep(d: SimpleDiagram, mode: Mode) -> RepMap:
         # no arcs at all: planarity forces the identity
         assert k == l and all(d.match[p] == k + p for p in range(k))
         out = RepMap.identity(k, mode)
-    _simple_cache[key] = out
     return out
 
 
@@ -166,16 +147,10 @@ class _Mat:
         return _Mat(self.rows * other.rows, self.cols * other.cols, entries)
 
 
-_color_cache: dict = {}
-
-
+@cache
 def _color_data(n: int, mode: Mode):
     """Projector image data for a single color: (proj, C, R) with
     proj = C.R, R.C = identity, and C the first independent columns."""
-    key = (n, mode)
-    hit = _color_cache.get(key)
-    if hit is not None:
-        return hit
     proj = F_diagram(jones_wenzl(n, mode).morphism)
     dim = 1 << n
     rows = [dict() for _ in range(dim)]
@@ -192,20 +167,12 @@ def _color_data(n: int, mode: Mode):
     C = _Mat(dim, len(profile), c_entries)
     R = _Mat(len(profile), dim,
              {(t, j): v for t, row in enumerate(rr) for j, v in row.items()})
-    out = (proj, C, R)
-    _color_cache[key] = out
-    return out
+    return proj, C, R
 
 
-_object_cache: dict = {}
-
-
+@cache
 def _object_data(s: tuple, mode: Mode):
     """Kronecker-assembled (projector, C, R) over the colors of s."""
-    key = (s, mode)
-    hit = _object_cache.get(key)
-    if hit is not None:
-        return hit
     proj = RepMap.identity(0, mode)
     C = _Mat(1, 1, {(0, 0): mode.one()})
     R = _Mat(1, 1, {(0, 0): mode.one()})
@@ -214,9 +181,7 @@ def _object_data(s: tuple, mode: Mode):
         proj = proj.tensor(pn)
         C = C.kron(cn)
         R = R.kron(rn)
-    out = (proj, C, R)
-    _object_cache[key] = out
-    return out
+    return proj, C, R
 
 
 def F_object(s, mode: Mode = GENERIC) -> dict:
@@ -272,47 +237,29 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
 # ---------------------------------------------------------------------------
 # ribbon structure on tensor powers, built from the elementary morphisms
 
-_rep_cache: dict = {}
-
-
+@cache
 def rep_coev(n: int, mode: Mode = GENERIC) -> RepMap:
     """Nested coevaluation 1 -> V^(x)2n."""
-    key = ("coev", n, mode)
-    hit = _rep_cache.get(key)
-    if hit is not None:
-        return hit
     if n == 0:
-        out = RepMap.identity(0, mode)
-    else:
-        id1 = RepMap.identity(1, mode)
-        b = elementary_morphisms(mode)["b"]
-        out = id1.tensor(rep_coev(n - 1, mode)).tensor(id1).compose(b)
-    _rep_cache[key] = out
-    return out
+        return RepMap.identity(0, mode)
+    id1 = RepMap.identity(1, mode)
+    b = elementary_morphisms(mode)["b"]
+    return id1.tensor(rep_coev(n - 1, mode)).tensor(id1).compose(b)
 
 
+@cache
 def rep_ev(n: int, mode: Mode = GENERIC) -> RepMap:
     """Nested evaluation V^(x)2n -> 1."""
-    key = ("ev", n, mode)
-    hit = _rep_cache.get(key)
-    if hit is not None:
-        return hit
     if n == 0:
-        out = RepMap.identity(0, mode)
-    else:
-        id1 = RepMap.identity(1, mode)
-        d = elementary_morphisms(mode)["d"]
-        out = d.compose(id1.tensor(rep_ev(n - 1, mode)).tensor(id1))
-    _rep_cache[key] = out
-    return out
+        return RepMap.identity(0, mode)
+    id1 = RepMap.identity(1, mode)
+    d = elementary_morphisms(mode)["d"]
+    return d.compose(id1.tensor(rep_ev(n - 1, mode)).tensor(id1))
 
 
+@cache
 def rep_braiding(n: int, m: int, mode: Mode = GENERIC) -> RepMap:
     """Braiding V^(x)n (x) V^(x)m -> V^(x)m (x) V^(x)n from layers of c."""
-    key = ("braid", n, m, mode)
-    hit = _rep_cache.get(key)
-    if hit is not None:
-        return hit
     total = n + m
     out = RepMap.identity(total, mode)
     c = elementary_morphisms(mode)["c"]
@@ -322,26 +269,19 @@ def rep_braiding(n: int, m: int, mode: Mode = GENERIC) -> RepMap:
             layer = RepMap.identity(pos - 1, mode).tensor(c) \
                 .tensor(RepMap.identity(total - pos - 1, mode))
             out = layer.compose(out)
-    _rep_cache[key] = out
     return out
 
 
+@cache
 def rep_twist(n: int, mode: Mode = GENERIC) -> RepMap:
     """Twist on V^(x)n via theta_{A(x)B} = c_{B,A} c_{A,B} (theta_A x theta_B)."""
-    key = ("twist", n, mode)
-    hit = _rep_cache.get(key)
-    if hit is not None:
-        return hit
     if n == 0:
-        out = RepMap.identity(0, mode)
-    elif n == 1:
-        out = elementary_morphisms(mode)["theta"]
-    else:
-        inner = rep_twist(n - 1, mode).tensor(rep_twist(1, mode))
-        out = rep_braiding(1, n - 1, mode) \
-            .compose(rep_braiding(n - 1, 1, mode)).compose(inner)
-    _rep_cache[key] = out
-    return out
+        return RepMap.identity(0, mode)
+    if n == 1:
+        return elementary_morphisms(mode)["theta"]
+    inner = rep_twist(n - 1, mode).tensor(rep_twist(1, mode))
+    return rep_braiding(1, n - 1, mode) \
+        .compose(rep_braiding(n - 1, 1, mode)).compose(inner)
 
 
 def quantum_trace_rep(f: RepMap):
@@ -493,46 +433,28 @@ def _sparse_trace(x: RepMap, y: RepMap):
     return total if total is not None else x.mode.zero()
 
 
-_int_W_cache: dict = {}
-_kproj_cache: dict = {}
-_AB_cache: dict = {}
-
-
+@cache
 def _int_W(k: int, l: int, mode: Mode) -> list:
-    key = (k, l, mode)
-    hit = _int_W_cache.get(key)
-    if hit is None:
-        hit = [_denominator_clear(h) for h in rep_hom_basis(k, l, mode)]
-        _int_W_cache[key] = hit
-    return hit
+    return [_denominator_clear(h) for h in rep_hom_basis(k, l, mode)]
 
 
+@cache
 def _kproj(t: tuple, mode: Mode) -> RepMap:
-    key = (t, mode)
-    hit = _kproj_cache.get(key)
-    if hit is None:
-        hit = _k_rows(_denominator_clear(_object_data(t, mode)[0]))
-        _kproj_cache[key] = hit
-    return hit
+    return _k_rows(_denominator_clear(_object_data(t, mode)[0]))
 
 
-def _pairing_maps(s: tuple, t: tuple, mode: Mode):
-    # A_u = K pi_t h_u for h_u spanning Hom(V^|s|, V^|t|);
-    # B_v = pi_s h_v' for h_v' spanning Hom(V^|t|, V^|s|)
-    k, l = seq_size(s), seq_size(t)
-    key = ("A", t, k, mode)
-    A = _AB_cache.get(key)
-    if A is None:
-        kp = _kproj(t, mode)
-        A = [kp.compose(h) for h in _int_W(k, l, mode)]
-        _AB_cache[key] = A
-    key = ("B", s, l, mode)
-    B = _AB_cache.get(key)
-    if B is None:
-        ps = _denominator_clear(_object_data(s, mode)[0])
-        B = [ps.compose(h) for h in _int_W(l, k, mode)]
-        _AB_cache[key] = B
-    return A, B
+@cache
+def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
+    # A_u = K pi_t h_u for h_u spanning Hom(V^k, V^|t|)
+    kp = _kproj(t, mode)
+    return [kp.compose(h) for h in _int_W(k, seq_size(t), mode)]
+
+
+@cache
+def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
+    # B_v = pi_s h_v' for h_v' spanning Hom(V^l, V^|s|)
+    ps = _denominator_clear(_object_data(s, mode)[0])
+    return [ps.compose(h) for h in _int_W(l, seq_size(s), mode)]
 
 
 def _exact_rank(matrix: list) -> int:
@@ -553,7 +475,8 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    A, B = _pairing_maps(s, t, mode)
+    A = _pairing_A(t, seq_size(s), mode)
+    B = _pairing_B(s, seq_size(t), mode)
     gram = [[_sparse_trace(au, bv) for bv in B] for au in A]
     dim_rep = _exact_rank(gram)
     diagrams = good_type_diagrams(s, t)

@@ -19,6 +19,7 @@ Conventions used throughout the package: ``q = a**2``, ``q**(1/2) = a``,
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 Laurent = dict  # exponent (int) -> coefficient (int), zero coefficients absent
@@ -357,20 +358,15 @@ def _canonicalize(num: Laurent, den: Laurent):
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and root-of-unity scalars
 
-_cyclotomic_cache: dict = {}
-
-
+@cache
 def cyclotomic_poly(n: int) -> list:
     """Coefficient list (little-endian) of the n-th cyclotomic polynomial."""
-    if n in _cyclotomic_cache:
-        return _cyclotomic_cache[n]
     # (x^n - 1) / prod of Phi_d over proper divisors d of n
     f = [0] * (n + 1)
     f[0], f[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
             f = _list_divexact(f, cyclotomic_poly(d))
-    _cyclotomic_cache[n] = f
     return f
 
 

@@ -22,6 +22,8 @@ Structural morphisms as explicit diagram combinations:
 
 from __future__ import annotations
 
+from functools import cache
+
 from .diagrams import (
     SimpleDiagram,
     TLMorphism,
@@ -55,15 +57,9 @@ class JWProjector:
 # ---------------------------------------------------------------------------
 # braiding, twist, duality
 
-_braiding_cache: dict = {}
-
-
+@cache
 def braiding_tl(n: int, m: int, mode: Mode = GENERIC) -> TLMorphism:
     """Resolved positive-crossing block moving the left n strands past m."""
-    key = (n, m, mode)
-    hit = _braiding_cache.get(key)
-    if hit is not None:
-        return hit
     k = n + m
     out = identity_morphism(k, mode)
     a, ainv = mode.a_power(1), mode.a_power(-1)
@@ -77,7 +73,6 @@ def braiding_tl(n: int, m: int, mode: Mode = GENERIC) -> TLMorphism:
                 {t: a * c for t, c in ident.terms.items()}, mode)
             layer = layer + e_generator(pos, k, mode).scale(ainv)
             out = compose(layer, out)
-    _braiding_cache[key] = out
     return out
 
 
@@ -93,15 +88,9 @@ def ev_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
     return TLMorphism.from_diagram(SimpleDiagram(2 * n, 0, match), mode)
 
 
-_twist_cache: dict = {}
-
-
+@cache
 def twist_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
     """(-1)^n times the resolved positive curl on n parallel strands."""
-    key = (n, mode)
-    hit = _twist_cache.get(key)
-    if hit is not None:
-        return hit
     idn = identity_morphism(n, mode)
     if n <= 4:
         # curl = (id_n x ev_n) . (c_{n,n} x id_n) . (id_n x coev_n), the
@@ -129,7 +118,6 @@ def twist_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
             braiding_tl(1, n - 1, mode),
             compose(braiding_tl(n - 1, 1, mode),
                     tensor(twist_tl(n - 1, mode), twist_tl(1, mode))))
-    _twist_cache[key] = out
     return out
 
 
@@ -144,9 +132,6 @@ def _loop_weights(k: int, mode: Mode) -> list:
     return out[:k + 1]
 
 
-_jw_cache: dict = {}
-
-
 def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
     """The k-strand Jones-Wenzl projector.
 
@@ -155,16 +140,18 @@ def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
     """
     if k < 0:
         raise ValueError(f"strand count must be nonnegative, got {k}")
-    key = (k, mode)
-    hit = _jw_cache.get(key)
-    if hit is not None:
-        return hit
+    return _jones_wenzl(k, mode)
+
+
+@cache
+def _jones_wenzl(k: int, mode: Mode) -> JWProjector:
+    # positional arguments only, so every spelling of a call shares one entry
     if k == 0:
         f = TLMorphism.from_diagram(SimpleDiagram(0, 0, ()), mode)
     elif k == 1:
         f = identity_morphism(1, mode)
     else:
-        prev = jones_wenzl(k - 1, mode).morphism
+        prev = _jones_wenzl(k - 1, mode).morphism
         dd = _loop_weights(k - 1, mode)
         if dd[k - 1].is_zero():
             raise PoleError(
@@ -174,9 +161,7 @@ def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
         ext = tensor(prev, identity_morphism(1, mode))
         f = ext - compose(ext, compose(e_generator(k - 1, k, mode),
                                        ext)).scale(ratio)
-    proj = JWProjector(k, f)
-    _jw_cache[key] = proj
-    return proj
+    return JWProjector(k, f)
 
 
 def jw_tensor(s, mode: Mode = GENERIC) -> TLMorphism:
@@ -190,16 +175,10 @@ def jw_tensor(s, mode: Mode = GENERIC) -> TLMorphism:
 # ---------------------------------------------------------------------------
 # quantum trace
 
-_circle_cache: dict = {}
-_closer_cache: dict = {}
-
-
+@cache
 def _closure_circles(d: SimpleDiagram) -> int:
     """Circles formed when bottom i is joined to top i around the side."""
     n = d.inputs
-    hit = _circle_cache.get(d)
-    if hit is not None:
-        return hit
     seen = [False] * (2 * n)
     circles = 0
     for start in range(2 * n):
@@ -216,7 +195,6 @@ def _closure_circles(d: SimpleDiagram) -> int:
             use_match = not use_match
             if p == start and use_match:
                 break
-    _circle_cache[d] = circles
     return circles
 
 
@@ -244,13 +222,13 @@ def closure_trace(f: TLMorphism):
     mode = f.mode
     if n == 0:
         return f.coefficient(SimpleDiagram(0, 0, ()))
-    # fold the integer-coefficient evaluation into the braiding before
-    # touching f, so the large braid never multiplies rational terms
-    key = (n, mode)
-    closer = _closer_cache.get(key)
-    if closer is None:
-        closer = compose(ev_tl(n, mode), braiding_tl(n, n, mode))
-        _closer_cache[key] = closer
     inner = tensor(compose(twist_tl(n, mode), f), identity_morphism(n, mode))
-    out = compose(closer, compose(inner, coev_tl(n, mode)))
+    out = compose(_closer(n, mode), compose(inner, coev_tl(n, mode)))
     return out.coefficient(SimpleDiagram(0, 0, ()))
+
+
+@cache
+def _closer(n: int, mode: Mode) -> TLMorphism:
+    # the integer-coefficient evaluation folded into the braiding before
+    # f is touched, so the large braid never multiplies rational terms
+    return compose(ev_tl(n, mode), braiding_tl(n, n, mode))

@@ -17,6 +17,8 @@ quotient.
 
 from __future__ import annotations
 
+from functools import cache
+
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism, compose, enumerate_simple, tensor
 from .scalars import GENERIC, Mode
@@ -98,9 +100,6 @@ def _block_index(s) -> list:
     return out
 
 
-_good_cache: dict = {}
-
-
 def good_type(d: SimpleDiagram, s, s_prime) -> bool:
     """No arc inside a single source block or single target block."""
     k = seq_size(s)
@@ -118,30 +117,26 @@ def good_type(d: SimpleDiagram, s, s_prime) -> bool:
 
 def good_type_diagrams(s, s_prime) -> list:
     """All good-type simple (|s|,|s'|)-diagrams in canonical order."""
-    s, s_prime = tuple(s), tuple(s_prime)
-    key = (s, s_prime)
-    hit = _good_cache.get(key)
-    if hit is None:
-        hit = [d for d in enumerate_simple(seq_size(s), seq_size(s_prime))
-               if good_type(d, s, s_prime)]
-        _good_cache[key] = hit
-    return hit
+    return _good_type_diagrams(tuple(s), tuple(s_prime))
 
 
-_hom_cache: dict = {}
+# The public functions normalize their arguments and call a cached twin with
+# canonical positional ones, so every spelling of an object shares one entry.
+@cache
+def _good_type_diagrams(s: tuple, s_prime: tuple) -> list:
+    return [d for d in enumerate_simple(seq_size(s), seq_size(s_prime))
+            if good_type(d, s, s_prime)]
 
 
 def hom_basis(s, s_prime, mode: Mode = GENERIC) -> list:
     """Hatted good-type diagrams: a basis of the hom space."""
-    s = object_seq(s, mode)
-    s_prime = object_seq(s_prime, mode)
-    key = (s, s_prime, mode)
-    hit = _hom_cache.get(key)
-    if hit is None:
-        hit = [hat(TLMorphism.from_diagram(d, mode), s, s_prime)
-               for d in good_type_diagrams(s, s_prime)]
-        _hom_cache[key] = hit
-    return hit
+    return _hom_basis(object_seq(s, mode), object_seq(s_prime, mode), mode)
+
+
+@cache
+def _hom_basis(s: tuple, s_prime: tuple, mode: Mode) -> list:
+    return [hat(TLMorphism.from_diagram(d, mode), s, s_prime)
+            for d in _good_type_diagrams(s, s_prime)]
 
 
 def d_nmj(n: int, m: int, j: int) -> SimpleDiagram:
@@ -183,9 +178,6 @@ def ribbon_data(s, s_prime, mode: Mode = GENERIC) -> dict:
 # ---------------------------------------------------------------------------
 # Gram matrices and purification
 
-_gram_cache: dict = {}
-
-
 def gram_matrix(s, s_prime, mode: Mode = GENERIC) -> list:
     """Quantum-trace pairing between the (s -> s') and (s' -> s) bases.
 
@@ -194,14 +186,13 @@ def gram_matrix(s, s_prime, mode: Mode = GENERIC) -> list:
     cyclicity, so each entry needs only one plain diagram against one
     hatted one.
     """
-    s = object_seq(s, mode)
-    s_prime = object_seq(s_prime, mode)
-    key = (s, s_prime, mode)
-    hit = _gram_cache.get(key)
-    if hit is not None:
-        return hit
-    rows_d = good_type_diagrams(s, s_prime)
-    cols_h = hom_basis(s_prime, s, mode)
+    return _gram_matrix(object_seq(s, mode), object_seq(s_prime, mode), mode)
+
+
+@cache
+def _gram_matrix(s: tuple, s_prime: tuple, mode: Mode) -> list:
+    rows_d = _good_type_diagrams(s, s_prime)
+    cols_h = _hom_basis(s_prime, s, mode)
     sign = (-1) ** seq_size(s_prime)
     msign = mode.from_int(sign)
     out = []
@@ -211,7 +202,6 @@ def gram_matrix(s, s_prime, mode: Mode = GENERIC) -> list:
         for h in cols_h:
             row.append(msign * markov_closure(compose(dm, h.value)))
         out.append(row)
-    _gram_cache[key] = out
     return out
 
 

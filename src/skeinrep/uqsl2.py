@@ -23,6 +23,8 @@ Elementary morphisms (all exact, with q^{1/2} = a):
 
 from __future__ import annotations
 
+from functools import cache
+
 from .scalars import GENERIC, Mode, PoleError
 from .linalg import Eliminator, kernel_basis
 
@@ -306,23 +308,15 @@ class RepMap:
                 for (i, j), v in sorted(self.entries.items())}
 
 
-_genmat_cache: dict = {}
-
-
+@cache
 def generator_matrix(generator: str, rank: int, mode: Mode) -> RepMap:
     """Matrix of a generator action on V^{(x)rank} (cached)."""
-    key = (generator, rank, mode)
-    hit = _genmat_cache.get(key)
-    if hit is not None:
-        return hit
     entries = {}
     for j in range(1 << rank):
         w = act(generator, TensorVector.basis(rank, j, mode))
         for i, c in w.components.items():
             entries[(i, j)] = c
-    out = RepMap(rank, rank, entries, mode)
-    _genmat_cache[key] = out
-    return out
+    return RepMap(rank, rank, entries, mode)
 
 
 def elementary_morphisms(mode: Mode = GENERIC) -> dict:
@@ -438,9 +432,7 @@ def cg_dims(n: int, m: int, mode: Mode = GENERIC):
 # ---------------------------------------------------------------------------
 # intertwiner spaces and the highest-weight projector
 
-_hom_cache: dict = {}
-
-
+@cache
 def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     """Basis of the maps V^{(x)k} -> V^{(x)l} commuting with K, X and Y.
 
@@ -448,10 +440,6 @@ def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     which at a root of unity means congruent weights); X and Y impose
     linear equations solved by exact kernel extraction.
     """
-    key = (k, l, mode)
-    hit = _hom_cache.get(key)
-    if hit is not None:
-        return hit
     pairs = []
     for u in range(1 << l):
         wu = mask_weight(u, l)
@@ -486,7 +474,6 @@ def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     for vec in kernel_basis(row_list, len(pairs), mode.one()):
         entries = {pairs[i]: c for i, c in vec.items()}
         out.append(RepMap(k, l, entries, mode))
-    _hom_cache[key] = out
     return out
 
 

@@ -116,15 +116,17 @@ def test_gram_override_clean_keeps_verdicts():
 
 
 def test_gram_override_tampered_fails():
-    code, out, err = run_cli("verify", DATA / "pairs.batch",
-                             "--gram-override",
-                             DATA / "gram_override_tampered.json")
-    assert code == 2
-    assert err == ""
-    assert out == golden("verify_tampered.txt")
-    lines = out.splitlines()
-    assert lines[2].endswith("not-iso")
-    assert sum(1 for li in lines if li.endswith("not-iso")) == 1
+    # source [1, 0, 1] names the same object as 1,1: color 0 is the unit
+    for name in ("gram_override_tampered.json",
+                 "gram_override_tampered_zero.json"):
+        code, out, err = run_cli("verify", DATA / "pairs.batch",
+                                 "--gram-override", DATA / name)
+        assert code == 2, name
+        assert err == "", name
+        assert out == golden("verify_tampered.txt"), name
+        lines = out.splitlines()
+        assert lines[2].endswith("not-iso")
+        assert sum(1 for li in lines if li.endswith("not-iso")) == 1
 
 
 def test_out_file_writing(tmp_path):
@@ -156,6 +158,34 @@ def test_usage_and_parse_errors_exit_1():
         code, out, err = run_cli(*argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    # a malformed or ineffective Gram override is one error line that names
+    # the file and the fault
+    overrides = {
+        "gram_override_no_matrix.json": "missing key 'matrix'",
+        "gram_override_not_object.json": "expected a JSON object",
+        "gram_override_bad_entry.json": "matrix row 2, column 2:",
+        "gram_override_bad_shape.json": "expected 2 rows of 2 entries",
+        "gram_override_unmatched.json": "matches no pair of",
+    }
+    for name, fragment in overrides.items():
+        code, out, err = run_cli("verify", DATA / "pairs.batch",
+                                 "--gram-override", DATA / name)
+        assert (code, out) == (1, ""), name
+        assert err.startswith(f"error: {DATA / name}: "), name
+        assert fragment in err and err.count("\n") == 1, name
+
+
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                 ArithmeticError("inexact polynomial division")])
+def test_arithmetic_errors_exit_1(monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr("skeinrep.cli.verify_equivalence", fail)
+    code, out, err = run_cli("homdim", "1,1", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {exc}\n"
+    assert "Traceback" not in err
 
 
 def test_batch_errors_name_the_line():

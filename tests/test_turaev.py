@@ -160,3 +160,13 @@ def test_closure_of_hatted_identity_is_quantum_dimension():
         assert closure_trace(f) == m.quantum_int(n + 1)
     mode = RootMode(5)
     assert closure_trace(jones_wenzl(4, mode).morphism).is_zero()
+
+
+def test_equal_calls_share_one_cached_value():
+    # defaults, keywords, lists and the unit color 0 all normalize to one
+    # cache entry, so the recursion and every caller reuse the same object
+    assert jones_wenzl(5) is jones_wenzl(5, GENERIC)
+    assert jones_wenzl(3, RootMode(5)) is jones_wenzl(3, mode=RootMode(5))
+    assert hom_basis([1, 0, 2], [3]) is hom_basis((1, 2), (3,), GENERIC)
+    assert gram_matrix([1, 1], (2,)) is gram_matrix((1, 1), (2,), GENERIC)
+    assert good_type_diagrams([1, 1], [2]) is good_type_diagrams((1, 1), (2,))

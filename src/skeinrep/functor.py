@@ -237,29 +237,44 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
 # ---------------------------------------------------------------------------
 # ribbon structure on tensor powers, built from the elementary morphisms
 
-@cache
+# each public function calls a cached twin with positional arguments, so
+# every spelling of a call shares one entry; recursion goes through the twin
+
 def rep_coev(n: int, mode: Mode = GENERIC) -> RepMap:
     """Nested coevaluation 1 -> V^(x)2n."""
+    return _rep_coev(n, mode)
+
+
+@cache
+def _rep_coev(n: int, mode: Mode) -> RepMap:
     if n == 0:
         return RepMap.identity(0, mode)
     id1 = RepMap.identity(1, mode)
     b = elementary_morphisms(mode)["b"]
-    return id1.tensor(rep_coev(n - 1, mode)).tensor(id1).compose(b)
+    return id1.tensor(_rep_coev(n - 1, mode)).tensor(id1).compose(b)
+
+
+def rep_ev(n: int, mode: Mode = GENERIC) -> RepMap:
+    """Nested evaluation V^(x)2n -> 1."""
+    return _rep_ev(n, mode)
 
 
 @cache
-def rep_ev(n: int, mode: Mode = GENERIC) -> RepMap:
-    """Nested evaluation V^(x)2n -> 1."""
+def _rep_ev(n: int, mode: Mode) -> RepMap:
     if n == 0:
         return RepMap.identity(0, mode)
     id1 = RepMap.identity(1, mode)
     d = elementary_morphisms(mode)["d"]
-    return d.compose(id1.tensor(rep_ev(n - 1, mode)).tensor(id1))
+    return d.compose(id1.tensor(_rep_ev(n - 1, mode)).tensor(id1))
+
+
+def rep_braiding(n: int, m: int, mode: Mode = GENERIC) -> RepMap:
+    """Braiding V^(x)n (x) V^(x)m -> V^(x)m (x) V^(x)n from layers of c."""
+    return _rep_braiding(n, m, mode)
 
 
 @cache
-def rep_braiding(n: int, m: int, mode: Mode = GENERIC) -> RepMap:
-    """Braiding V^(x)n (x) V^(x)m -> V^(x)m (x) V^(x)n from layers of c."""
+def _rep_braiding(n: int, m: int, mode: Mode) -> RepMap:
     total = n + m
     out = RepMap.identity(total, mode)
     c = elementary_morphisms(mode)["c"]
@@ -272,16 +287,20 @@ def rep_braiding(n: int, m: int, mode: Mode = GENERIC) -> RepMap:
     return out
 
 
-@cache
 def rep_twist(n: int, mode: Mode = GENERIC) -> RepMap:
     """Twist on V^(x)n via theta_{A(x)B} = c_{B,A} c_{A,B} (theta_A x theta_B)."""
+    return _rep_twist(n, mode)
+
+
+@cache
+def _rep_twist(n: int, mode: Mode) -> RepMap:
     if n == 0:
         return RepMap.identity(0, mode)
     if n == 1:
         return elementary_morphisms(mode)["theta"]
-    inner = rep_twist(n - 1, mode).tensor(rep_twist(1, mode))
-    return rep_braiding(1, n - 1, mode) \
-        .compose(rep_braiding(n - 1, 1, mode)).compose(inner)
+    inner = _rep_twist(n - 1, mode).tensor(_rep_twist(1, mode))
+    return _rep_braiding(1, n - 1, mode) \
+        .compose(_rep_braiding(n - 1, 1, mode)).compose(inner)
 
 
 def quantum_trace_rep(f: RepMap):
@@ -410,7 +429,11 @@ def _denominator_clear(m: RepMap) -> RepMap:
         lcm = _poly_divexact(_lmul(lcm, v.den), g)
     if lcm == {0: 1}:
         return m
-    return m.scale(ScalarGeneric.from_laurent(lcm))
+    # lcm / den is exact, so each product is a polynomial and needs no gcd
+    return RepMap(m.source_rank, m.target_rank,
+                  {k: ScalarGeneric.from_laurent(
+                      _lmul(v.num, _poly_divexact(lcm, v.den)))
+                   for k, v in m.entries.items()}, mode)
 
 
 def _k_rows(m: RepMap) -> RepMap:

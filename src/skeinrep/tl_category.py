@@ -57,9 +57,14 @@ class JWProjector:
 # ---------------------------------------------------------------------------
 # braiding, twist, duality
 
-@cache
 def braiding_tl(n: int, m: int, mode: Mode = GENERIC) -> TLMorphism:
     """Resolved positive-crossing block moving the left n strands past m."""
+    return _braiding_tl(n, m, mode)
+
+
+@cache
+def _braiding_tl(n: int, m: int, mode: Mode) -> TLMorphism:
+    # positional arguments only, so every spelling of a call shares one entry
     k = n + m
     out = identity_morphism(k, mode)
     a, ainv = mode.a_power(1), mode.a_power(-1)
@@ -88,9 +93,13 @@ def ev_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
     return TLMorphism.from_diagram(SimpleDiagram(2 * n, 0, match), mode)
 
 
-@cache
 def twist_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
     """(-1)^n times the resolved positive curl on n parallel strands."""
+    return _twist_tl(n, mode)
+
+
+@cache
+def _twist_tl(n: int, mode: Mode) -> TLMorphism:
     idn = identity_morphism(n, mode)
     if n <= 4:
         # curl = (id_n x ev_n) . (c_{n,n} x id_n) . (id_n x coev_n), the
@@ -115,9 +124,9 @@ def twist_tl(n: int, mode: Mode = GENERIC) -> TLMorphism:
         # splits with both parts <= 4 stay independently checkable against
         # the curl form above
         out = compose(
-            braiding_tl(1, n - 1, mode),
-            compose(braiding_tl(n - 1, 1, mode),
-                    tensor(twist_tl(n - 1, mode), twist_tl(1, mode))))
+            _braiding_tl(1, n - 1, mode),
+            compose(_braiding_tl(n - 1, 1, mode),
+                    tensor(_twist_tl(n - 1, mode), _twist_tl(1, mode))))
     return out
 
 

@@ -432,7 +432,6 @@ def cg_dims(n: int, m: int, mode: Mode = GENERIC):
 # ---------------------------------------------------------------------------
 # intertwiner spaces and the highest-weight projector
 
-@cache
 def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     """Basis of the maps V^{(x)k} -> V^{(x)l} commuting with K, X and Y.
 
@@ -440,6 +439,23 @@ def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     which at a root of unity means congruent weights); X and Y impose
     linear equations solved by exact kernel extraction.
     """
+    return _rep_hom_basis(k, l, mode)
+
+
+@cache
+def _rep_hom_basis(k: int, l: int, mode: Mode) -> list:
+    # positional arguments only, so every spelling of a call shares one entry
+    pairs, rows = _intertwiner_system(k, l, mode)
+    out = []
+    for vec in kernel_basis(rows, len(pairs), mode.one()):
+        entries = {pairs[i]: c for i, c in vec.items()}
+        out.append(RepMap(k, l, entries, mode))
+    return out
+
+
+def _intertwiner_system(k: int, l: int, mode: Mode):
+    # (pairs, rows): the K-allowed entries (u, v) as unknowns, and the X and
+    # Y equations on them as sparse rows, in a fixed order
     pairs = []
     for u in range(1 << l):
         wu = mask_weight(u, l)
@@ -468,13 +484,8 @@ def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
                 row = rows.setdefault((gen, u2, v), {})
                 c = index[(u2, v2)]
                 row[c] = row.get(c, mode.zero()) - y
-    row_list = [ {c: x for c, x in rows[key].items() if not x.is_zero()}
-                 for key in sorted(rows) ]
-    out = []
-    for vec in kernel_basis(row_list, len(pairs), mode.one()):
-        entries = {pairs[i]: c for i, c in vec.items()}
-        out.append(RepMap(k, l, entries, mode))
-    return out
+    return pairs, [{c: x for c, x in rows[key].items() if not x.is_zero()}
+                   for key in sorted(rows)]
 
 
 def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:

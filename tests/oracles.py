@@ -8,7 +8,9 @@ matchings by direct recursive chord placement on the boundary circle.
 
 from math import comb
 
-from skeinrep.scalars import GENERIC
+from skeinrep.linalg import Eliminator
+from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
+                              _poly_gcd)
 
 
 def catalan(n: int) -> int:
@@ -156,3 +158,38 @@ def chebyshev_loop(k: int, mode=GENERIC):
     for _ in range(k - 1):
         prev, cur = cur, cur * delta - prev
     return cur
+
+
+def input_order_elimination(rows, ncols: int, one) -> dict:
+    """Rank, pivot columns, RREF rows and kernel basis from an Eliminator
+    fed the rows one by one in the order given.
+
+    This is the slow path the batch routes of ``linalg`` replace by adding
+    their rows right to left; since the RREF of a row space is unique, the
+    two must agree exactly.
+    """
+    el = Eliminator()
+    for r in rows:
+        el.add(r)
+    pivots = sorted(el.rows)
+    kernel = []
+    for f in range(ncols):
+        if f in el.rows:
+            continue
+        v = {f: one}
+        for p in pivots:
+            c = el.rows[p].get(f)
+            if c is not None:
+                v[p] = -c
+        kernel.append(v)
+    return {"rank": len(pivots), "pivots": pivots,
+            "rref": [el.rows[p] for p in pivots], "kernel": kernel}
+
+
+def scaled_denominator_clear(m):
+    """A generic-mode map times the lcm of its entries' denominators, by
+    full scalar multiplication (one gcd canonicalization per entry)."""
+    lcm = {0: 1}
+    for v in m.entries.values():
+        lcm = _poly_divexact(_lmul(lcm, v.den), _poly_gcd(lcm, v.den))
+    return m.scale(ScalarGeneric.from_laurent(lcm))

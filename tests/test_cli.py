@@ -82,6 +82,11 @@ def test_homdim_golden():
     assert out == golden("homdim_11_2.json")
 
 
+def test_homdim_past_size_eight():
+    code, out, err = run_cli("homdim", "3,3", "2,2")
+    assert (code, err, out) == (0, "", "3, 3, iso\n")
+
+
 def test_verify_batch_golden():
     code, out, err = run_cli("verify", DATA / "pairs.batch")
     assert (code, err) == (0, "")

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from oracles import hom_dimension
+from oracles import hom_dimension, scaled_denominator_clear
 from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
+                              _denominator_clear, _object_data,
                               _weighted_trace, coefficient_b, mate_flat,
                               mate_sharp, quantum_trace_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist, verify_equivalence)
@@ -15,7 +16,7 @@ from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
 from skeinrep.turaev import good_type_diagrams, hom_basis, seq_size
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, cg_vector,
-                            elementary_morphisms, hw_projector)
+                            elementary_morphisms, hw_projector, rep_hom_basis)
 
 
 def _random_morphism(rng, k, l, mode):
@@ -244,6 +245,30 @@ def test_verify_equivalence_reports():
     assert str(r.mode) == "root:4"
     with pytest.raises(ValueError):
         verify_equivalence((3,), (3,), RootMode(4))
+
+
+def test_verify_equivalence_past_size_eight():
+    # a 10-strand pair: the intertwiner solve is a 252-unknown kernel
+    r = verify_equivalence((5,), (5,))
+    assert (r.dim_diagram_side, r.dim_rep_side, r.matrix_rank) == (1, 1, 1)
+    assert r.verdict == "iso"
+
+
+def test_denominator_clear_matches_full_scaling():
+    maps = [_object_data(s, GENERIC)[0]
+            for s in [(1,), (2,), (3,), (4,), (5,), (2, 2), (1, 2, 1)]]
+    maps += [h for k in range(7) for l in range(7 - k)
+             for h in rep_hom_basis(k, l)]
+    with_den = 0
+    for m in maps:
+        with_den += any(v.den != {0: 1} for v in m.entries.values())
+        got = _denominator_clear(m)
+        assert all(v.den == {0: 1} for v in got.entries.values())
+        assert got.entries == scaled_denominator_clear(m).entries
+        assert (got.source_rank, got.target_rank) == (m.source_rank,
+                                                      m.target_rank)
+    # not vacuous: every projector but the identity (1,) has denominators
+    assert with_den >= 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import input_order_elimination
 from skeinrep import linalg
 from skeinrep.scalars import GENERIC, RootMode
+from skeinrep.uqsl2 import _intertwiner_system
 
 
 def _vec(mode, *entries):
@@ -88,3 +93,69 @@ def test_independent_subset():
     vs = [_vec(m, 1, 1), _vec(m, 2, 2), _vec(m, 0, 1), _vec(m, 1, 0)]
     kept = linalg.independent_subset(vs)
     assert kept == [0, 2]
+
+
+def _assert_matches_input_order(rows, ncols, mode):
+    # the batch routes add rows right to left; the RREF, and so every
+    # result, must equal an Eliminator fed the rows in input order
+    one = mode.one()
+    want = input_order_elimination(rows, ncols, one)
+    assert linalg.rank(rows) == want["rank"]
+    assert linalg.column_rank_profile(rows) == want["pivots"]
+    assert linalg.rref_rows(rows) == want["rref"]
+    kernel = linalg.kernel_basis(rows, ncols, one)
+    assert kernel == want["kernel"]
+    assert len(kernel) == ncols - want["rank"]
+    for v in kernel:
+        for r in rows:
+            total = mode.zero()
+            for j, x in r.items():
+                c = v.get(j)
+                if c is not None:
+                    total = total + x * c
+            assert total.is_zero()
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(5)], ids=str)
+def test_batch_routes_match_input_order_on_intertwiner_systems(mode):
+    for k in range(7):
+        for l in range(7 - k):
+            pairs, rows = _intertwiner_system(k, l, mode)
+            _assert_matches_input_order(rows, len(pairs), mode)
+
+
+def _laurent(mode, coeffs):
+    total = mode.zero()
+    for e, c in coeffs.items():
+        total = total + mode.a_power(e) * mode.from_int(c)
+    return total
+
+
+_ENTRY = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), max_size=3)
+
+
+@st.composite
+def _sparse_matrix(draw):
+    mode = draw(st.sampled_from([GENERIC, RootMode(5)]))
+    ncols = draw(st.integers(1, 7))
+    cells = st.dictionaries(st.integers(0, ncols - 1), _ENTRY, max_size=4)
+    base = [{j: _laurent(mode, c) for j, c in draw(cells).items()}
+            for _ in range(draw(st.integers(0, 5)))]
+    base = [{j: x for j, x in r.items() if not x.is_zero()} for r in base]
+    rows = list(base)
+    # rows that are combinations of earlier ones, so the rank drops
+    for _ in range(draw(st.integers(0, 3))):
+        if not base:
+            break
+        i, j = draw(st.integers(0, len(base) - 1)), draw(
+            st.integers(0, len(base) - 1))
+        c = _laurent(mode, draw(_ENTRY))
+        rows.append(linalg.vec_sub_scaled(base[i], base[j], c))
+    return mode, ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_matrix())
+def test_batch_routes_match_input_order_on_shuffled_matrices(case):
+    mode, ncols, rows = case
+    _assert_matches_input_order(rows, ncols, mode)

@@ -2,6 +2,7 @@ import pytest
 
 from oracles import hom_dimension
 from skeinrep.diagrams import compose, identity_morphism, tensor
+from skeinrep.functor import rep_braiding, rep_coev, rep_ev, rep_twist
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, jones_wenzl,
                                   jw_tensor, twist_tl)
@@ -9,6 +10,7 @@ from skeinrep.turaev import (HattedMorphism, d_nmj, dual_seq,
                              good_type, good_type_diagrams, gram_matrix,
                              gram_matrix_literal, hat, hom_basis, object_seq,
                              purified_hom_dim, ribbon_data, seq_size)
+from skeinrep.uqsl2 import rep_hom_basis
 
 
 def _objects(maxcolor, maxsize):
@@ -170,3 +172,13 @@ def test_equal_calls_share_one_cached_value():
     assert hom_basis([1, 0, 2], [3]) is hom_basis((1, 2), (3,), GENERIC)
     assert gram_matrix([1, 1], (2,)) is gram_matrix((1, 1), (2,), GENERIC)
     assert good_type_diagrams([1, 1], [2]) is good_type_diagrams((1, 1), (2,))
+    assert braiding_tl(1, 1) is braiding_tl(1, 1, GENERIC)
+    assert braiding_tl(1, 2) is braiding_tl(1, 2, mode=GENERIC)
+    assert twist_tl(2) is twist_tl(2, GENERIC)
+    assert rep_hom_basis(2, 2) is rep_hom_basis(2, 2, GENERIC)
+    assert rep_hom_basis(1, 3, RootMode(5)) is rep_hom_basis(1, 3,
+                                                             mode=RootMode(5))
+    assert rep_coev(2) is rep_coev(2, GENERIC)
+    assert rep_ev(2) is rep_ev(n=2, mode=GENERIC)
+    assert rep_braiding(1, 2) is rep_braiding(1, 2, GENERIC)
+    assert rep_twist(3) is rep_twist(3, mode=GENERIC)

@@ -178,6 +178,11 @@ def test_rep_hom_basis_dims_and_intertwining():
                     assert g.compose(src) == tgt.compose(g)
 
 
+def test_rep_hom_basis_past_size_eight():
+    # 252 unknowns; the dimension is the Clebsch-Gordan fusion count
+    assert len(rep_hom_basis(5, 5)) == hom_dimension((1,) * 5, (1,) * 5) == 42
+
+
 def test_hw_projector_properties():
     m = GENERIC
     for n in (1, 2, 3):

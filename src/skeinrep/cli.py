@@ -310,7 +310,7 @@ def main(argv=None) -> int:
         mode = parse_mode(args.mode)
         return _HANDLERS[args.subcommand](args, mode)
     except (UsageError, WordError, ArithmeticError, ValueError,
-            OSError) as exc:
+            OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -108,125 +108,59 @@ def F_diagram(f: TLMorphism) -> RepMap:
 
 
 # ---------------------------------------------------------------------------
-# object images: projector, first-independent-column basis, rank factorization
-
-class _Mat:
-    """Sparse matrix with explicit shape, for compressed coordinates."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: dict):
-        self.rows = rows
-        self.cols = cols
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero()}
-
-    @staticmethod
-    def from_repmap(m: RepMap) -> "_Mat":
-        return _Mat(1 << m.target_rank, 1 << m.source_rank, m.entries)
-
-    def mul(self, other: "_Mat") -> "_Mat":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        rows_other: dict = {}
-        for (j, k), y in other.entries.items():
-            rows_other.setdefault(j, []).append((k, y))
-        out: dict = {}
-        for (i, j), x in self.entries.items():
-            for k, y in rows_other.get(j, ()):
-                key = (i, k)
-                s = out.get(key)
-                p = x * y
-                out[key] = p if s is None else s + p
-        return _Mat(self.rows, other.cols, out)
-
-    def kron(self, other: "_Mat") -> "_Mat":
-        entries = {}
-        for (i1, j1), x in self.entries.items():
-            for (i2, j2), y in other.entries.items():
-                entries[(i1 * other.rows + i2, j1 * other.cols + j2)] = x * y
-        return _Mat(self.rows * other.rows, self.cols * other.cols, entries)
-
+# object images: the projector f_s and a basis of its image
 
 @cache
-def _color_data(n: int, mode: Mode):
-    """Projector image data for a single color: (proj, C, R) with
-    proj = C.R, R.C = identity, and C the first independent columns."""
-    proj = F_diagram(jones_wenzl(n, mode).morphism)
-    dim = 1 << n
-    rows = [dict() for _ in range(dim)]
-    for (i, j), v in proj.entries.items():
-        rows[i][j] = v
-    rr = linalg.rref_rows(rows)
-    profile = [min(row) for row in rr]
-    col_pos = {j: t for t, j in enumerate(profile)}
-    c_entries = {}
-    for (i, j), v in proj.entries.items():
-        t = col_pos.get(j)
-        if t is not None:
-            c_entries[(i, t)] = v
-    C = _Mat(dim, len(profile), c_entries)
-    R = _Mat(len(profile), dim,
-             {(t, j): v for t, row in enumerate(rr) for j, v in row.items()})
-    return proj, C, R
-
-
-@cache
-def _object_data(s: tuple, mode: Mode):
-    """Kronecker-assembled (projector, C, R) over the colors of s."""
-    proj = RepMap.identity(0, mode)
-    C = _Mat(1, 1, {(0, 0): mode.one()})
-    R = _Mat(1, 1, {(0, 0): mode.one()})
-    for n in s:
-        pn, cn, rn = _color_data(n, mode)
-        proj = proj.tensor(pn)
-        C = C.kron(cn)
-        R = R.kron(rn)
-    return proj, C, R
+def _object_projector(s: tuple, mode: Mode) -> RepMap:
+    """f_s = f_{s_1} (x) ... (x) f_{s_m}; each color and prefix is cached."""
+    if not s:
+        return RepMap.identity(0, mode)
+    if len(s) == 1:
+        return F_diagram(jones_wenzl(s[0], mode).morphism)
+    return _object_projector(s[:-1], mode).tensor(
+        _object_projector(s[-1:], mode))
 
 
 def F_object(s, mode: Mode = GENERIC) -> dict:
     """Image data of an object: the projector f_s on V^(x)|s| and the basis
     of its image given by the first linearly independent columns."""
     s = object_seq(s, mode)
-    proj, C, _ = _object_data(s, mode)
-    k = seq_size(s)
+    proj = _object_projector(s, mode)
+    rows: dict = {}
     cols: dict = {}
-    for (i, t), v in C.entries.items():
-        cols.setdefault(t, {})[i] = v
-    basis = [TensorVector(k, cols.get(t, {}), mode) for t in range(C.cols)]
+    for (i, j), v in proj.entries.items():
+        rows.setdefault(i, {})[j] = v
+        cols.setdefault(j, {})[i] = v
+    k = seq_size(s)
+    basis = [TensorVector(k, cols[j], mode)
+             for j in linalg.column_rank_profile(rows.values())]
     return {"projector": proj, "basis": basis}
 
 
 # ---------------------------------------------------------------------------
 # the induced matrix on hom spaces
 
-def _flatten(m: _Mat) -> dict:
-    return {i * m.cols + j: v for (i, j), v in m.entries.items()}
-
-
 def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     """Matrix of the functor from the diagram-side hom basis to the
     projector-compressed intertwiner basis.
 
-    Columns follow hom_basis(s, t); rows follow the first independent
-    compressed intertwiners in canonical order.  Entries are exact, so the
-    rank is exact.
+    Columns follow hom_basis(s, t); rows follow the first intertwiners h
+    whose compressions f_t h f_s are independent, in canonical order.
+    Entries are exact, so the rank is exact.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    k, l = seq_size(s), seq_size(t)
-    _, Cs, _ = _object_data(s, mode)
-    _, _, Rt = _object_data(t, mode)
+    ps, pt = _object_projector(s, mode), _object_projector(t, mode)
     elim = linalg.Eliminator(track=True)
     kept = []
-    for u, h in enumerate(rep_hom_basis(k, l, mode)):
-        vec = _flatten(Rt.mul(_Mat.from_repmap(h)).mul(Cs))
+    for u, h in enumerate(rep_hom_basis(seq_size(s), seq_size(t), mode)):
+        vec = pt.compose(h).compose(ps).entries
         if vec and elim.add(vec, tag=u) is not None:
             kept.append(u)
     matrix = [[] for _ in kept]
     zero = mode.zero()
     for h in hom_basis(s, t, mode):
-        vec = _flatten(Rt.mul(_Mat.from_repmap(F_diagram(h.value))).mul(Cs))
+        vec = pt.compose(F_diagram(h.value)).compose(ps).entries
         coords = elim.coordinates(vec)
         assert coords is not None, "functor image escaped the intertwiner span"
         for row, u in zip(matrix, kept):
@@ -314,18 +248,6 @@ def quantum_trace_rep(f: RepMap):
     comp = rep_ev(n, mode).compose(rep_braiding(n, n, mode)) \
         .compose(g).compose(rep_coev(n, mode))
     return comp.entries.get((0, 0), mode.zero())
-
-
-def _weighted_trace(g: RepMap):
-    # tr(K^(x)n . g): the fast form of the quantum trace
-    n = g.source_rank
-    mode = g.mode
-    total = None
-    for (i, j), v in g.entries.items():
-        if i == j:
-            p = mode.a_power(2 * mask_weight(i, n)) * v
-            total = p if total is None else total + p
-    return total if total is not None else mode.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +362,9 @@ def _k_rows(m: RepMap) -> RepMap:
     # left-multiply by the diagonal K^(x)target_rank
     n = m.target_rank
     mode = m.mode
+    k = {w: mode.a_power(2 * w) for w in range(-n, n + 1, 2)}
     return RepMap(m.source_rank, n,
-                  {(i, j): mode.a_power(2 * mask_weight(i, n)) * v
+                  {(i, j): k[mask_weight(i, n)] * v
                    for (i, j), v in m.entries.items()}, mode)
 
 
@@ -463,20 +386,19 @@ def _int_W(k: int, l: int, mode: Mode) -> list:
 
 @cache
 def _kproj(t: tuple, mode: Mode) -> RepMap:
-    return _k_rows(_denominator_clear(_object_data(t, mode)[0]))
+    return _k_rows(_denominator_clear(_object_projector(t, mode)))
 
 
 @cache
 def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
     # A_u = K pi_t h_u for h_u spanning Hom(V^k, V^|t|)
-    kp = _kproj(t, mode)
-    return [kp.compose(h) for h in _int_W(k, seq_size(t), mode)]
+    return [_k_rows(b) for b in _pairing_B(t, k, mode)]
 
 
 @cache
 def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
     # B_v = pi_s h_v' for h_v' spanning Hom(V^l, V^|s|)
-    ps = _denominator_clear(_object_data(s, mode)[0])
+    ps = _denominator_clear(_object_projector(s, mode))
     return [ps.compose(h) for h in _int_W(l, seq_size(s), mode)]
 
 

@@ -144,11 +144,16 @@ def _loop_weights(k: int, mode: Mode) -> list:
 def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
     """The k-strand Jones-Wenzl projector.
 
-    Raises PoleError in root mode when k >= r (the recursion divides by the
-    vanishing quantum integer [r]_q).
+    Raises PoleError in root mode when k >= r (the recursion would divide
+    by the vanishing quantum integer [r]_q).
     """
     if k < 0:
         raise ValueError(f"strand count must be nonnegative, got {k}")
+    if mode.is_root and k >= mode.r:
+        # [j]_q vanishes first at j = r; refuse before recursing down to it
+        raise PoleError(
+            f"no {mode.r}-strand projector: quantum integer [{mode.r}]_q "
+            f"vanishes in mode {mode}")
     return _jones_wenzl(k, mode)
 
 
@@ -162,10 +167,6 @@ def _jones_wenzl(k: int, mode: Mode) -> JWProjector:
     else:
         prev = _jones_wenzl(k - 1, mode).morphism
         dd = _loop_weights(k - 1, mode)
-        if dd[k - 1].is_zero():
-            raise PoleError(
-                f"no {k}-strand projector: quantum integer [{k}]_q vanishes "
-                f"in mode {mode}")
         ratio = dd[k - 2] / dd[k - 1]
         ext = tensor(prev, identity_morphism(1, mode))
         f = ext - compose(ext, compose(e_generator(k - 1, k, mode),

@@ -151,6 +151,8 @@ def test_usage_and_parse_errors_exit_1():
         ("bracket", DATA / "trefoil.word", "--mode", "root:17x"),
         ("jw", "-1"),
         ("jw", "3", "--mode", "root:3"),
+        ("jw", "1500", "--mode", "root:3"),
+        ("jw", "1500"),
         ("jw", "3", "--badflag"),
         ("nosuchcommand",),
         ("homdim", "", "2"),

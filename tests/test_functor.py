@@ -7,10 +7,10 @@ from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _object_data,
-                              _weighted_trace, coefficient_b, mate_flat,
-                              mate_sharp, quantum_trace_rep, rep_braiding,
-                              rep_coev, rep_ev, rep_twist, verify_equivalence)
+                              _denominator_clear, _k_rows, _sparse_trace,
+                              coefficient_b, mate_flat, mate_sharp,
+                              quantum_trace_rep, rep_braiding, rep_coev, rep_ev,
+                              rep_twist, verify_equivalence)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
@@ -105,14 +105,15 @@ def test_quantum_trace_matches_closure_trace():
 
 
 def test_weighted_trace_matches_categorical_composite():
-    # the fast diagonal form agrees with ev . c . ((theta g) x id) . coev
-    # even on maps that are not intertwiners
+    # the trace verify_equivalence takes, tr(K^(x)n . g), agrees with
+    # ev . c . ((theta g) x id) . coev even on maps that are not intertwiners
     rng = random.Random(23)
     for mode in (GENERIC, RootMode(3)):
         for n in range(1, 4):
             for _ in range(6):
                 g = _random_repmap(rng, n, mode)
-                assert _weighted_trace(g) == quantum_trace_rep(g)
+                assert _sparse_trace(_k_rows(g), RepMap.identity(n, mode)) \
+                    == quantum_trace_rep(g)
 
 
 def test_quantum_trace_cyclic_and_multiplicative():
@@ -194,6 +195,18 @@ def test_object_image_basis():
             assert elim.add(dict(v.components), tag=i) is not None
     # color zero is the unit and drops out
     assert len(F_object((0, 1), m)["basis"]) == 2
+    # the basis is the first independent columns of the projector, taken
+    # greedily left to right; the unit object has the single vector 1
+    for s, mode in [((), m), ((2, 1), m), ((1, 2), RootMode(4))]:
+        out = F_object(s, mode)
+        columns = {}
+        for (i, j), v in out["projector"].entries.items():
+            columns.setdefault(j, {})[i] = v
+        columns = [columns[j] for j in sorted(columns)]
+        first = [columns[i] for i in linalg.independent_subset(columns)]
+        assert [dict(v.components) for v in out["basis"]] == first, (s, mode)
+    assert [dict(v.components) for v in F_object((), m)["basis"]] \
+        == [{0: m.one()}]
 
 
 def test_hom_matrix_square_and_invertible():
@@ -215,6 +228,20 @@ def test_hom_matrix_square_and_invertible():
         rows = [{j: v for j, v in enumerate(row) if not v.is_zero()}
                 for row in matrix]
         assert linalg.rank(rows) == dim
+        # the rows follow the first independent compressions f_t h_u f_s,
+        # and each column holds the coordinates of f_t F(h) f_s in them
+        ps, pt = F_object(s, mode)["projector"], F_object(t, mode)["projector"]
+        compressed = [pt.compose(h).compose(ps) for h in
+                      rep_hom_basis(seq_size(s), seq_size(t), mode)]
+        kept = [compressed[u] for u in linalg.independent_subset(
+            [c.entries for c in compressed])]
+        assert len(kept) == len(matrix)
+        for col, h in enumerate(hom_basis(s, t, mode)):
+            total = RepMap.zero(ps.source_rank, pt.target_rank, mode)
+            for row, c in zip(matrix, kept):
+                total = total + c.scale(row[col])
+            assert total == pt.compose(F_diagram(h.value)).compose(ps), \
+                (s, t, mode, col)
 
 
 def test_verify_equivalence_reports():
@@ -255,7 +282,7 @@ def test_verify_equivalence_past_size_eight():
 
 
 def test_denominator_clear_matches_full_scaling():
-    maps = [_object_data(s, GENERIC)[0]
+    maps = [F_object(s, GENERIC)["projector"]
             for s in [(1,), (2,), (3,), (4,), (5,), (2, 2), (1, 2, 1)]]
     maps += [h for k in range(7) for l in range(7 - k)
              for h in rep_hom_basis(k, l)]

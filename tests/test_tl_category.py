@@ -42,8 +42,13 @@ def test_jones_wenzl_at_roots():
         mode = RootMode(r)
         for k in range(r):
             _check_jw(k, mode)
-        with pytest.raises(PoleError):
-            jones_wenzl(r, mode)
+        message = f"no {r}-strand projector: quantum integer [{r}]_q " \
+            f"vanishes in mode root:{r}"
+        # past r the same pole is reported at once, with no recursion
+        for k in (r, r + 1, 1500):
+            with pytest.raises(PoleError) as err:
+                jones_wenzl(k, mode)
+            assert str(err.value) == message, (r, k)
 
 
 def test_jw_tensor():

@@ -346,6 +346,13 @@ def e_generator(i: int, k: int, mode: Mode = GENERIC) -> TLMorphism:
     return TLMorphism.from_diagram(e_diagram(i, k), mode)
 
 
+def crossing(i: int, n: int, sign: int, mode: Mode) -> TLMorphism:
+    """Kauffman resolution a^sign * id + a^-sign * e_i of a crossing of
+    strands i and i+1 of n; sign 1 is the positive crossing."""
+    return TLMorphism(n, n, {identity_diagram(n): mode.a_power(sign),
+                             e_diagram(i, n): mode.a_power(-sign)}, mode)
+
+
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
     """f after g; each closed loop contributes a factor delta."""
     if f.inputs != g.outputs:
@@ -484,13 +491,7 @@ def _layer_morphism(layer, mode: Mode) -> TLMorphism:
         return TLMorphism.from_diagram(cup_diagram(i, n), mode)
     if kind == "cap":
         return TLMorphism.from_diagram(cap_diagram(i, n), mode)
-    ident = identity_diagram(n)
-    e = e_diagram(i, n)
-    if kind == "x+":
-        terms = {ident: mode.a_power(1), e: mode.a_power(-1)}
-    else:
-        terms = {ident: mode.a_power(-1), e: mode.a_power(1)}
-    return TLMorphism(n, n, terms, mode)
+    return crossing(i, n, 1 if kind == "x+" else -1, mode)
 
 
 def resolve(word: GeneratorWord, mode: Mode = GENERIC) -> TLMorphism:

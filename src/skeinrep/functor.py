@@ -238,16 +238,12 @@ def _rep_twist(n: int, mode: Mode) -> RepMap:
 
 
 def quantum_trace_rep(f: RepMap):
-    """Quantum trace of an endomorphism of V^(x)n as the categorical
-    composite ev . c . ((theta f) x id) . coev."""
+    """Quantum trace tr(K^(x)n . f) of an endomorphism of V^(x)n.  It equals
+    the categorical composite ev . c . ((theta f) x id) . coev, which is
+    the test oracle ``categorical_trace_rep`` in ``tests/oracles.py``."""
     if f.source_rank != f.target_rank:
         raise ValueError("quantum trace needs an endomorphism")
-    n = f.source_rank
-    mode = f.mode
-    g = rep_twist(n, mode).compose(f).tensor(RepMap.identity(n, mode))
-    comp = rep_ev(n, mode).compose(rep_braiding(n, n, mode)) \
-        .compose(g).compose(rep_coev(n, mode))
-    return comp.entries.get((0, 0), mode.zero())
+    return _sparse_trace(_k_rows(f), RepMap.identity(f.source_rank, f.mode))
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,6 @@ def _ladd(f: Laurent, g: Laurent) -> Laurent:
 def _lneg(f: Laurent) -> Laurent:
     return {e: -c for e, c in f.items()}
 
-def _lsub(f: Laurent, g: Laurent) -> Laurent:
-    return _ladd(f, _lneg(g))
-
 def _lmul(f: Laurent, g: Laurent) -> Laurent:
     if not f or not g:
         return {}
@@ -211,11 +208,6 @@ class ScalarGeneric:
     @staticmethod
     def from_int(n: int) -> "ScalarGeneric":
         return ScalarGeneric({0: n} if n else {}, dict(_ONE), _canonical=True)
-
-    @staticmethod
-    def from_fraction(x: Fraction) -> "ScalarGeneric":
-        return ScalarGeneric({0: x.numerator} if x.numerator else {},
-                             {0: x.denominator}, _canonical=True)
 
     @staticmethod
     def a_power(e: int) -> "ScalarGeneric":

@@ -3,14 +3,21 @@
 Everything here recomputes an expected value by a route disjoint from the
 implementation under test: brackets by brute-force state enumeration with
 union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
-matchings by direct recursive chord placement on the boundary circle.
+matchings by direct recursive chord placement on the boundary circle,
+quantum traces by the full braided composite d . c . ((theta f) x id) . b.
 """
 
+from functools import cache
 from math import comb
 
+from skeinrep.diagrams import SimpleDiagram, compose, identity_morphism, tensor
+from skeinrep.functor import rep_braiding, rep_coev, rep_ev, rep_twist
 from skeinrep.linalg import Eliminator
 from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
                               _poly_gcd)
+from skeinrep.tl_category import braiding_tl, coev_tl, ev_tl, twist_tl
+from skeinrep.turaev import hom_basis, object_seq
+from skeinrep.uqsl2 import RepMap
 
 
 def catalan(n: int) -> int:
@@ -193,3 +200,48 @@ def scaled_denominator_clear(m):
     for v in m.entries.values():
         lcm = _poly_divexact(_lmul(lcm, v.den), _poly_gcd(lcm, v.den))
     return m.scale(ScalarGeneric.from_laurent(lcm))
+
+
+@cache
+def _closer(n: int, mode):
+    # the integer-coefficient evaluation folded into the braiding before
+    # f is touched, so the large braid never multiplies rational terms
+    return compose(ev_tl(n, mode), braiding_tl(n, n, mode))
+
+
+def braided_closure_trace(f):
+    """Diagrammatic quantum trace d_n . c_{n,n} . (twist f x id_n) . b_n of
+    an n-strand endomorphism, composed diagram by diagram."""
+    if f.inputs != f.outputs:
+        raise ValueError("closure trace needs an endomorphism")
+    n = f.inputs
+    mode = f.mode
+    if n == 0:
+        return f.coefficient(SimpleDiagram(0, 0, ()))
+    inner = tensor(compose(twist_tl(n, mode), f), identity_morphism(n, mode))
+    out = compose(_closer(n, mode), compose(inner, coev_tl(n, mode)))
+    return out.coefficient(SimpleDiagram(0, 0, ()))
+
+
+def categorical_trace_rep(f):
+    """Quantum trace of an endomorphism of V^(x)n as the categorical
+    composite ev . c . ((theta f) x id) . coev of representation maps."""
+    if f.source_rank != f.target_rank:
+        raise ValueError("quantum trace needs an endomorphism")
+    n = f.source_rank
+    mode = f.mode
+    g = rep_twist(n, mode).compose(f).tensor(RepMap.identity(n, mode))
+    comp = rep_ev(n, mode).compose(rep_braiding(n, n, mode)) \
+        .compose(g).compose(rep_coev(n, mode))
+    return comp.entries.get((0, 0), mode.zero())
+
+
+def literal_gram_matrix(s, s_prime, mode=GENERIC):
+    """Gram matrix straight from the definition: both factors hatted, each
+    trace by the braided composite."""
+    s = object_seq(s, mode)
+    s_prime = object_seq(s_prime, mode)
+    cols_h = hom_basis(s_prime, s, mode)
+    return [[braided_closure_trace(compose(hi.value, hj.value))
+             for hj in cols_h]
+            for hi in hom_basis(s, s_prime, mode)]

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from oracles import hom_dimension, scaled_denominator_clear
+from oracles import (categorical_trace_rep, hom_dimension,
+                     scaled_denominator_clear)
 from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _k_rows, _sparse_trace,
-                              coefficient_b, mate_flat, mate_sharp,
-                              quantum_trace_rep, rep_braiding, rep_coev, rep_ev,
-                              rep_twist, verify_equivalence)
+                              _denominator_clear, coefficient_b, mate_flat,
+                              mate_sharp, quantum_trace_rep, rep_braiding,
+                              rep_coev, rep_ev, rep_twist, verify_equivalence)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
@@ -105,15 +105,14 @@ def test_quantum_trace_matches_closure_trace():
 
 
 def test_weighted_trace_matches_categorical_composite():
-    # the trace verify_equivalence takes, tr(K^(x)n . g), agrees with
+    # the library trace, tr(K^(x)n . g), agrees with
     # ev . c . ((theta g) x id) . coev even on maps that are not intertwiners
     rng = random.Random(23)
     for mode in (GENERIC, RootMode(3)):
         for n in range(1, 4):
             for _ in range(6):
                 g = _random_repmap(rng, n, mode)
-                assert _sparse_trace(_k_rows(g), RepMap.identity(n, mode)) \
-                    == quantum_trace_rep(g)
+                assert quantum_trace_rep(g) == categorical_trace_rep(g)
 
 
 def test_quantum_trace_cyclic_and_multiplicative():

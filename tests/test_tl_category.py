@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import chebyshev_loop
+from oracles import braided_closure_trace, chebyshev_loop
 from skeinrep.diagrams import (TLMorphism, compose, e_generator,
                                identity_diagram, identity_morphism, tensor)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
@@ -66,7 +66,7 @@ def test_closure_trace_values():
     assert closure_trace(identity_morphism(2, m)) == two * two
     assert closure_trace(e_generator(1, 2, m)) == -two
     # the loop filter closes to a quantum integer, Chebyshev up to sign
-    for k in range(6):
+    for k in range(7):
         t = closure_trace(jones_wenzl(k).morphism)
         assert t == m.quantum_int(k + 1)
         cheb = chebyshev_loop(k)
@@ -83,12 +83,12 @@ def test_closure_trace_cyclic_and_multiplicative():
 
 
 def test_markov_closure_sign():
-    # the absorbed closure differs from the bare one by (-1)^strands
+    # the braided closure differs from the bare one by (-1)^strands
     m = GENERIC
     f = identity_morphism(3, m)
-    assert closure_trace(f) == -markov_closure(f)
+    assert braided_closure_trace(f) == -markov_closure(f)
     g = identity_morphism(2, m)
-    assert closure_trace(g) == markov_closure(g)
+    assert braided_closure_trace(g) == markov_closure(g)
 
 
 def test_braiding_hexagons():
@@ -156,15 +156,15 @@ def test_twist_values_and_compatibility():
     # the twist is central: it commutes with e_1 on two strands
     e = e_generator(1, 2, m)
     assert compose(twist_tl(2, m), e) == compose(e, twist_tl(2, m))
-    # past four strands the twist is built recursively; check it still
-    # equals the literal capped-curl composite at the first such size
-    n = 5
-    idn = identity_morphism(n, m)
-    curl = compose(
-        tensor(idn, ev_tl(n, m)),
-        compose(tensor(braiding_tl(n, n, m), idn),
-                tensor(idn, coev_tl(n, m))))
-    assert twist_tl(n, m) == -curl
+    # the twist is built by the ribbon recursion; check it against the
+    # literal capped-curl composite, (-1)^n times the curl
+    for n in range(1, 6):
+        idn = identity_morphism(n, m)
+        curl = compose(
+            tensor(idn, ev_tl(n, m)),
+            compose(tensor(braiding_tl(n, n, m), idn),
+                    tensor(idn, coev_tl(n, m))))
+        assert twist_tl(n, m) == (-curl if n % 2 else curl), n
 
 
 def test_root_mode_braiding_still_ribbon():
@@ -175,3 +175,11 @@ def test_root_mode_braiding_still_ribbon():
     right = compose(tensor(i1, c), compose(tensor(c, i1), tensor(i1, c)))
     assert left == right
     assert closure_trace(jones_wenzl(4, mode).morphism).is_zero()
+    # every projector that exists closes to its quantum integer, and the
+    # last one, k = r - 1, to [r]_q = 0
+    for r in (3, 4, 5):
+        mode = RootMode(r)
+        for k in range(r):
+            t = closure_trace(jones_wenzl(k, mode).morphism)
+            assert t == mode.quantum_int(k + 1), (r, k)
+        assert t.is_zero(), r

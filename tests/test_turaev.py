@@ -1,16 +1,18 @@
 import pytest
 
-from oracles import hom_dimension
+from oracles import (braided_closure_trace, categorical_trace_rep,
+                     hom_dimension, literal_gram_matrix)
 from skeinrep.diagrams import compose, identity_morphism, tensor
-from skeinrep.functor import rep_braiding, rep_coev, rep_ev, rep_twist
+from skeinrep.functor import (F_diagram, quantum_trace_rep, rep_braiding,
+                              rep_coev, rep_ev, rep_twist)
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, jones_wenzl,
                                   jw_tensor, twist_tl)
 from skeinrep.turaev import (HattedMorphism, d_nmj, dual_seq,
                              good_type, good_type_diagrams, gram_matrix,
-                             gram_matrix_literal, hat, hom_basis, object_seq,
+                             hat, hom_basis, object_seq,
                              purified_hom_dim, ribbon_data, seq_size)
-from skeinrep.uqsl2 import rep_hom_basis
+from skeinrep.uqsl2 import RepMap, rep_hom_basis
 
 
 def _objects(maxcolor, maxsize):
@@ -110,10 +112,10 @@ def test_gram_frozen_values():
 def test_gram_absorption_equals_literal():
     for s, t in [((1,), (1,)), ((1, 1), (1, 1)), ((1, 1), (2,)),
                  ((2, 1), (2, 1)), ((2,), (1, 1))]:
-        assert gram_matrix(s, t) == gram_matrix_literal(s, t), (s, t)
+        assert gram_matrix(s, t) == literal_gram_matrix(s, t), (s, t)
     mode = RootMode(5)
     for s, t in [((1, 1), (1, 1)), ((2, 1), (2, 1)), ((3,), (1, 2))]:
-        assert gram_matrix(s, t, mode) == gram_matrix_literal(s, t, mode)
+        assert gram_matrix(s, t, mode) == literal_gram_matrix(s, t, mode)
 
 
 def test_purified_dims_match_truncated_fusion():
@@ -153,6 +155,30 @@ def test_ribbon_data_hatted_axioms():
         lhs = compose(tensor(idn, rd["ev"].value),
                       tensor(rd["coev"].value, idn))
         assert lhs == idn
+
+
+def test_trace_routes_match_braided_oracles():
+    # closure_trace is (-1)^n markov_closure and quantum_trace_rep is
+    # tr(K^(x)n . f); both must equal the full braided composites on every
+    # hatted endomorphism basis element of every object of size <= 4
+    for mode in (GENERIC, RootMode(3), RootMode(4), RootMode(5)):
+        maxcolor = mode.r - 2 if mode.is_root else 4
+        for s in _objects(maxcolor, 4):
+            for h in hom_basis(s, s, mode):
+                assert closure_trace(h.value) \
+                    == braided_closure_trace(h.value), (mode, s)
+                g = F_diagram(h.value)
+                assert quantum_trace_rep(g) == categorical_trace_rep(g), \
+                    (mode, s)
+        # the K-trace of a module map cannot tell q from q^-1, so also
+        # compare on the diagonal matrix units, which are not module maps
+        for n in range(4):
+            for i in range(1 << n):
+                e = RepMap(n, n, {(i, i): mode.one()}, mode)
+                assert quantum_trace_rep(e) == categorical_trace_rep(e), \
+                    (mode, n, i)
+    f5 = jones_wenzl(5).morphism
+    assert closure_trace(f5) == braided_closure_trace(f5)
 
 
 def test_closure_of_hatted_identity_is_quantum_dimension():

@@ -15,8 +15,9 @@ is an equivalence on the pair exactly when all three agree.
 import math
 from functools import cache
 
-from .scalars import (GENERIC, Mode, PoleError, ScalarGeneric,
-                      _lmul, _poly_divexact, _poly_gcd)
+from .scalars import (GENERIC, Mode, PoleError, ScalarCyclotomic,
+                      ScalarGeneric, _contract, _lmul, _poly_divexact,
+                      _poly_gcd)
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism
 from .tl_category import jones_wenzl
@@ -121,19 +122,25 @@ def _object_projector(s: tuple, mode: Mode) -> RepMap:
         _object_projector(s[-1:], mode))
 
 
+@cache
+def _image_columns(s: tuple, mode: Mode) -> list:
+    # the first linearly independent columns of f_s
+    rows: dict = {}
+    for (i, j), v in _object_projector(s, mode).entries.items():
+        rows.setdefault(i, {})[j] = v
+    return linalg.column_rank_profile(rows.values())
+
+
 def F_object(s, mode: Mode = GENERIC) -> dict:
     """Image data of an object: the projector f_s on V^(x)|s| and the basis
     of its image given by the first linearly independent columns."""
     s = object_seq(s, mode)
     proj = _object_projector(s, mode)
-    rows: dict = {}
     cols: dict = {}
     for (i, j), v in proj.entries.items():
-        rows.setdefault(i, {})[j] = v
         cols.setdefault(j, {})[i] = v
     k = seq_size(s)
-    basis = [TensorVector(k, cols[j], mode)
-             for j in linalg.column_rank_profile(rows.values())]
+    basis = [TensorVector(k, cols[j], mode) for j in _image_columns(s, mode)]
     return {"projector": proj, "basis": basis}
 
 
@@ -146,11 +153,18 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
 
     Columns follow hom_basis(s, t); rows follow the first intertwiners h
     whose compressions f_t h f_s are independent, in canonical order.
+    Each compression is taken as f_t h C_s, with C_s the image columns of
+    f_s (those of F_object); X -> X C_s is injective on maps with
+    X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
     Entries are exact, so the rank is exact.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    ps, pt = _object_projector(s, mode), _object_projector(t, mode)
+    fs, pt = _object_projector(s, mode), _object_projector(t, mode)
+    keep = set(_image_columns(s, mode))
+    ps = RepMap(fs.source_rank, fs.target_rank,
+                {(i, j): v for (i, j), v in fs.entries.items() if j in keep},
+                mode)
     elim = linalg.Eliminator(track=True)
     kept = []
     for u, h in enumerate(rep_hom_basis(seq_size(s), seq_size(t), mode)):
@@ -335,7 +349,12 @@ def _denominator_clear(m: RepMap) -> RepMap:
             lcm = math.lcm(lcm, v.den)
         if lcm == 1:
             return m
-        return m.scale(mode.from_int(lcm))
+        # lcm / den is exact and scaling keeps a residue reduced
+        return RepMap(m.source_rank, m.target_rank,
+                      {k: ScalarCyclotomic(mode.r, [c * (lcm // v.den)
+                                                    for c in v.coeffs],
+                                           1, _canonical=True)
+                       for k, v in m.entries.items()}, mode)
     lcm = {0: 1}
     seen = set()
     for v in m.entries.values():
@@ -365,14 +384,10 @@ def _k_rows(m: RepMap) -> RepMap:
 
 
 def _sparse_trace(x: RepMap, y: RepMap):
-    # tr(x . y) without forming the product
-    total = None
-    for (i, j), v in x.entries.items():
-        w = y.entries.get((j, i))
-        if w is not None:
-            p = v * w
-            total = p if total is None else total + p
-    return total if total is not None else x.mode.zero()
+    # tr(x . y) without forming the product, one contraction per entry
+    ye = y.entries
+    return _contract([(v, w) for (i, j), v in x.entries.items()
+                      if (w := ye.get((j, i))) is not None], x.mode)
 
 
 @cache

@@ -377,14 +377,15 @@ class ScalarCyclotomic:
             if den < 0:
                 den = -den
                 cs = [-c for c in cs]
-            g = den
-            for c in cs:
-                g = gcd(g, c)
-            if g > 1:
-                den //= g
-                cs = [c // g for c in cs]
-            if not any(cs):
-                cs, den = [], 1
+            if not cs:
+                den = 1
+            elif den != 1:
+                g = den
+                for c in cs:
+                    g = gcd(g, c)
+                if g > 1:
+                    den //= g
+                    cs = [c // g for c in cs]
             self.coeffs = tuple(cs)
             self.den = den
         self._hash = None
@@ -423,6 +424,12 @@ class ScalarCyclotomic:
         n = max(len(self.coeffs), len(o.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(o.coeffs) + [0] * (n - len(o.coeffs))
+        if self.den == o.den == 1:
+            # a sum of reduced residues is reduced; only the top can cancel
+            cs = [x + y for x, y in zip(a, b)]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            return ScalarCyclotomic(self.r, cs, 1, _canonical=True)
         if self.den == o.den:
             return ScalarCyclotomic(self.r,
                                     [x + y for x, y in zip(a, b)], self.den)
@@ -522,15 +529,35 @@ class ScalarCyclotomic:
         return format_scalar(self)
 
 
-def _cyclo_reduce(cs: list, r: int) -> list:
+@cache
+def _power_table(r: int) -> tuple:
+    """(deg Phi_{4r}, rows): row e is x^e mod Phi_{4r} for e < 4r, as its
+    nonzero (index, coeff) pairs; x^{4r} = 1 modulo Phi_{4r}, so the rows
+    repeat with period 4r."""
     phi = cyclotomic_poly(4 * r)
     deg = len(phi) - 1
-    for e in range(len(cs) - 1, deg - 1, -1):
-        c = cs[e]
-        if c:
-            cs[e] = 0
-            for j in range(deg):
-                cs[e - deg + j] -= c * phi[j]
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(4 * r):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+    return deg, tuple(rows)
+
+
+def _cyclo_reduce(cs: list, r: int) -> list:
+    deg, table = _power_table(r)
+    if len(cs) > deg:
+        order = 4 * r
+        out = cs[:deg]
+        for e in range(deg, len(cs)):
+            c = cs[e]
+            if c:
+                for j, t in table[e % order]:
+                    out[j] += c * t
+        cs = out
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
@@ -590,18 +617,52 @@ def _eval_cyclo(f: Laurent, r: int) -> ScalarCyclotomic:
     return ScalarCyclotomic(r, cs)
 
 
+def _contract(pairs, mode):
+    """Sum of x * y over the (x, y) pairs, exactly.
+
+    Root mode convolves the raw coefficient tuples into one integer
+    accumulator over a common integer denominator, then reduces mod
+    Phi_{4r} and takes the content gcd once.  Generic mode multiplies and
+    adds pairwise.
+    """
+    if not mode.is_root:
+        total = None
+        for x, y in pairs:
+            p = x * y
+            total = p if total is None else total + p
+        return total if total is not None else mode.zero()
+    acc = [0] * (2 * _power_table(mode.r)[0] - 1)
+    den = 1
+    for x, y in pairs:
+        xs, ys = x.coeffs, y.coeffs
+        if not xs or not ys:
+            continue
+        d = x.den * y.den
+        if d != den:
+            if den % d:
+                grow = d // gcd(den, d)
+                acc = [c * grow for c in acc]
+                den *= grow
+            m = den // d
+            xs = [c * m for c in xs]
+        for i, c in enumerate(xs):
+            if c:
+                for j, e in enumerate(ys, i):
+                    acc[j] += c * e
+    return ScalarCyclotomic(mode.r, acc, den)
+
+
 def sum_scalars(values, mode) -> object:
     """Sum scalars with a single normalization at the end.
 
     Generic values accumulate over an incrementally maintained common
-    denominator, far cheaper than pairwise canonicalizing additions.
+    denominator, far cheaper than pairwise canonicalizing additions; root
+    values go through the contraction kernel.
     """
     vals = list(values)
     if mode.is_root:
-        total = mode.zero()
-        for v in vals:
-            total = total + v
-        return total
+        one = mode.one()
+        return _contract([(v, one) for v in vals], mode)
     num: Laurent = {}
     den: Laurent = dict(_ONE)
     for v in vals:

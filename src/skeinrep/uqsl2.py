@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .scalars import GENERIC, Mode, PoleError
+from .scalars import GENERIC, Mode, PoleError, _contract
 from .linalg import Eliminator, kernel_basis
 
 
@@ -255,17 +255,17 @@ class RepMap:
         rows_other: dict = {}
         for (j, k), y in other.entries.items():
             rows_other.setdefault(j, []).append((k, y))
-        out: dict = {}
+        pairs: dict = {}
         for (i, j), x in self.entries.items():
             row = rows_other.get(j)
             if row is None:
                 continue
             for k, y in row:
-                key = (i, k)
-                s = out.get(key)
-                p = x * y
-                out[key] = p if s is None else s + p
-        return RepMap(other.source_rank, self.target_rank, out, self.mode)
+                pairs.setdefault((i, k), []).append((x, y))
+        mode = self.mode
+        return RepMap(other.source_rank, self.target_rank,
+                      {key: _contract(ps, mode) for key, ps in pairs.items()},
+                      mode)
 
     def tensor(self, other: "RepMap") -> "RepMap":
         k2, l2 = other.source_rank, other.target_rank

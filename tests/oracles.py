@@ -4,20 +4,23 @@ Everything here recomputes an expected value by a route disjoint from the
 implementation under test: brackets by brute-force state enumeration with
 union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
 matchings by direct recursive chord placement on the boundary circle,
-quantum traces by the full braided composite d . c . ((theta f) x id) . b.
+quantum traces by the full braided composite d . c . ((theta f) x id) . b,
+sparse products and traces by pairwise scalar products and sums.
 """
 
+import math
 from functools import cache
 from math import comb
 
 from skeinrep.diagrams import SimpleDiagram, compose, identity_morphism, tensor
-from skeinrep.functor import rep_braiding, rep_coev, rep_ev, rep_twist
+from skeinrep.functor import (F_diagram, F_object, rep_braiding, rep_coev,
+                              rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator
 from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
                               _poly_gcd)
 from skeinrep.tl_category import braiding_tl, coev_tl, ev_tl, twist_tl
-from skeinrep.turaev import hom_basis, object_seq
-from skeinrep.uqsl2 import RepMap
+from skeinrep.turaev import hom_basis, object_seq, seq_size
+from skeinrep.uqsl2 import RepMap, rep_hom_basis
 
 
 def catalan(n: int) -> int:
@@ -194,12 +197,65 @@ def input_order_elimination(rows, ncols: int, one) -> dict:
 
 
 def scaled_denominator_clear(m):
-    """A generic-mode map times the lcm of its entries' denominators, by
-    full scalar multiplication (one gcd canonicalization per entry)."""
+    """A map times the lcm of its entries' denominators, by full scalar
+    multiplication (one canonicalization per entry)."""
+    if m.mode.is_root:
+        lcm = 1
+        for v in m.entries.values():
+            lcm = math.lcm(lcm, v.den)
+        return m.scale(m.mode.from_int(lcm))
     lcm = {0: 1}
     for v in m.entries.values():
         lcm = _poly_divexact(_lmul(lcm, v.den), _poly_gcd(lcm, v.den))
     return m.scale(ScalarGeneric.from_laurent(lcm))
+
+
+def pairwise_trace(x, y):
+    """tr(x . y), each product and each partial sum a canonical scalar."""
+    total = None
+    for (i, j), v in x.entries.items():
+        w = y.entries.get((j, i))
+        if w is not None:
+            p = v * w
+            total = p if total is None else total + p
+    return total if total is not None else x.mode.zero()
+
+
+def pairwise_compose(f, g):
+    """f after g, each product and each partial sum a canonical scalar."""
+    rows_g: dict = {}
+    for (j, k), y in g.entries.items():
+        rows_g.setdefault(j, []).append((k, y))
+    out: dict = {}
+    for (i, j), x in f.entries.items():
+        for k, y in rows_g.get(j, ()):
+            key = (i, k)
+            s = out.get(key)
+            p = x * y
+            out[key] = p if s is None else s + p
+    return RepMap(g.source_rank, f.target_rank, out, f.mode)
+
+
+def full_projector_hom_matrix(s, t, mode=GENERIC):
+    """F_hom_matrix with every compression taken as f_t h f_s on the full
+    projectors, rows kept in canonical order."""
+    s = object_seq(s, mode)
+    t = object_seq(t, mode)
+    ps = F_object(s, mode)["projector"]
+    pt = F_object(t, mode)["projector"]
+    elim = Eliminator(track=True)
+    kept = []
+    for u, h in enumerate(rep_hom_basis(seq_size(s), seq_size(t), mode)):
+        vec = pt.compose(h).compose(ps).entries
+        if vec and elim.add(vec, tag=u) is not None:
+            kept.append(u)
+    matrix = [[] for _ in kept]
+    for h in hom_basis(s, t, mode):
+        coords = elim.coordinates(
+            pt.compose(F_diagram(h.value)).compose(ps).entries)
+        for row, u in zip(matrix, kept):
+            row.append(coords.get(u, mode.zero()))
+    return matrix
 
 
 @cache

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
-from oracles import (categorical_trace_rep, hom_dimension,
+from oracles import (categorical_trace_rep, full_projector_hom_matrix,
+                     hom_dimension, pairwise_compose, pairwise_trace,
                      scaled_denominator_clear)
 from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, coefficient_b, mate_flat,
-                              mate_sharp, quantum_trace_rep, rep_braiding,
-                              rep_coev, rep_ev, rep_twist, verify_equivalence)
+                              _denominator_clear, _int_W, _kproj,
+                              _object_projector, _pairing_A, _pairing_B,
+                              _simple_rep, _sparse_trace, coefficient_b,
+                              mate_flat, mate_sharp, quantum_trace_rep,
+                              rep_braiding, rep_coev, rep_ev, rep_twist,
+                              verify_equivalence)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
@@ -295,6 +299,98 @@ def test_denominator_clear_matches_full_scaling():
                                                       m.target_rank)
     # not vacuous: every projector but the identity (1,) has denominators
     assert with_den >= 6
+    for r in (3, 4, 5):
+        mode = RootMode(r)
+        maps = [_object_projector((k,), mode) for k in range(1, r)]
+        maps += [F_object(s, mode)["projector"]
+                 for s in [(1, 1), (2, 1), (1, 2, 1)] if max(s) <= r - 2]
+        # only r = 4 projectors carry integer denominators, so every mode
+        # also gets intertwiners divided by small integers
+        maps += [h.scale(mode.one() / mode.from_int(u % 5 + 1))
+                 for k in range(7) for l in range(7 - k)
+                 for u, h in enumerate(rep_hom_basis(k, l, mode))]
+        with_den = 0
+        for m in maps:
+            with_den += any(v.den > 1 for v in m.entries.values())
+            got = _denominator_clear(m)
+            assert all(v.den == 1 for v in got.entries.values())
+            assert got.entries == scaled_denominator_clear(m).entries
+            assert (got.source_rank, got.target_rank) == (m.source_rank,
+                                                          m.target_rank)
+        assert with_den >= 20, r
+
+
+def _color_seqs(colors, max_size):
+    out = [()]
+    for s in out:
+        out.extend(s + (c,) for c in colors if sum(s) + c <= max_size)
+    return out
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_fused_contractions_match_pairwise_oracles(mode):
+    # every A, B and pairing matrix verify_equivalence builds, |s|+|t| <= 6
+    colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
+    seqs = _color_seqs(colors, 6)
+    traces = 0
+    for s in seqs:
+        ps = _denominator_clear(_object_projector(s, mode))
+        for t in seqs:
+            if seq_size(s) + seq_size(t) > 6:
+                continue
+            A = _pairing_A(t, seq_size(s), mode)
+            B = _pairing_B(s, seq_size(t), mode)
+            W = _int_W(seq_size(t), seq_size(s), mode)
+            assert [b.entries for b in B] \
+                == [pairwise_compose(ps, h).entries for h in W]
+            kp = _kproj(t, mode)
+            rows = list(A)
+            for d in good_type_diagrams(s, t):
+                td = kp.compose(_simple_rep(d, mode))
+                assert td.entries \
+                    == pairwise_compose(kp, _simple_rep(d, mode)).entries
+                rows.append(td)
+            for x in rows:
+                for b in B:
+                    assert _sparse_trace(x, b) == pairwise_trace(x, b)
+                    traces += 1
+    assert traces > 100
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(4), RootMode(5)],
+                         ids=str)
+def test_fused_contractions_on_uncleared_maps(mode):
+    # the intertwiner bases are denominator-free, so they are divided by
+    # small integers: mixed denominators exercise the common denominator
+    maps = [h.scale(mode.one() / mode.from_int(u % 5 + 1))
+            for u, h in enumerate(h for k in range(7) for l in range(7 - k)
+                                  for h in rep_hom_basis(k, l, mode))]
+    maps += [_object_projector(s, mode) for s in [(2,), (3,), (1, 2)]]
+    one = mode.one().den
+    with_den = 0
+    for x in maps:
+        with_den += any(v.den != one for v in x.entries.values())
+        for y in maps:
+            if x.source_rank == y.target_rank:
+                assert x.compose(y).entries == pairwise_compose(x, y).entries
+            if (x.source_rank, x.target_rank) \
+                    == (y.target_rank, y.source_rank):
+                assert _sparse_trace(x, y) == pairwise_trace(x, y)
+    assert with_den >= 20
+
+
+def test_hom_matrix_matches_full_projector_composition():
+    for mode, colors in [(GENERIC, (1, 2, 3)), (RootMode(5), (1, 2, 3))]:
+        seqs = _color_seqs(colors, 6)
+        pairs = 0
+        for s in seqs:
+            for t in seqs:
+                if seq_size(s) + seq_size(t) <= 6:
+                    assert F_hom_matrix(s, t, mode) \
+                        == full_projector_hom_matrix(s, t, mode), (mode, s, t)
+                    pairs += 1
+        assert pairs > 50
 
 
 # ---------------------------------------------------------------------------

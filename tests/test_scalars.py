@@ -1,8 +1,12 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
-                              ScalarGeneric, cyclotomic_poly, format_scalar,
-                              parse_mode, parse_scalar, specialize)
+                              ScalarGeneric, _contract, _cyclo_reduce,
+                              cyclotomic_poly, format_scalar, parse_mode,
+                              parse_scalar, specialize, sum_scalars)
 
 
 def test_generic_ring_relations():
@@ -157,3 +161,76 @@ def test_cyclotomic_format_parse():
     # parsed generic form recovers the value
     assert specialize(parse_scalar(format_scalar(x)), 5) == x
     assert isinstance(x, ScalarCyclotomic)
+
+
+# ---------------------------------------------------------------------------
+# the cyclotomic core: table reduction, canonical form, contraction kernel
+
+def _deg(r):
+    return len(cyclotomic_poly(4 * r)) - 1
+
+
+def _cyclo(r):
+    # any integer list over any nonzero integer, reduced by the constructor
+    return st.builds(lambda cs, den: ScalarCyclotomic(r, cs, den),
+                     st.lists(st.integers(-40, 40), max_size=2 * _deg(r) + 3),
+                     st.integers(-12, 12).filter(bool))
+
+
+def _assert_canonical(z, r):
+    assert z.r == r
+    assert not z.coeffs or z.coeffs[-1] != 0
+    assert len(z.coeffs) <= _deg(r)
+    assert z.den > 0
+    assert z.coeffs or z.den == 1
+    g = z.den
+    for c in z.coeffs:
+        g = gcd(g, c)
+    assert g == 1
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclo_reduce_matches_sympy_remainder(r, data):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(4 * r, x)
+    assert sympy.Poly(phi, x).all_coeffs()[::-1] == cyclotomic_poly(4 * r)
+    cs = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                            min_size=2 * _deg(r) + 1, max_size=10 * r))
+    rem = sympy.rem(sum(c * x ** e for e, c in enumerate(cs)), phi, x)
+    want = [int(c) for c in sympy.Poly(rem, x).all_coeffs()[::-1]]
+    while want and want[-1] == 0:
+        want.pop()
+    assert _cyclo_reduce(list(cs), r) == want
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_arithmetic_stays_canonical(r, data):
+    x = data.draw(_cyclo(r))
+    y = data.draw(_cyclo(r))
+    for z in (x, y, x * y, x + y, x - y):
+        _assert_canonical(z, r)
+    if not y.is_zero():
+        q = x * y.inv()
+        _assert_canonical(q, r)
+        assert q * y == x
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_contraction_kernel_matches_pairwise_sum(r, data):
+    mode = RootMode(r)
+    pairs = data.draw(st.lists(st.tuples(_cyclo(r), _cyclo(r)), max_size=8))
+    want = mode.zero()
+    for x, y in pairs:
+        want = want + x * y
+    got = _contract(pairs, mode)
+    _assert_canonical(got, r)
+    assert got == want
+    assert sum_scalars([x for x, _ in pairs], mode) \
+        == sum((x for x, _ in pairs), mode.zero())

@@ -2,9 +2,10 @@
 dimensions, Gram matrices, and batch equivalence verification.
 
 Exit codes: 0 success (and all verdicts iso), 1 usage, parse or arithmetic
-error (including poles at roots of unity, invalid colors and a malformed or
-unmatched Gram override), 2 verification failure (some pair is not an
-isomorphism, or a Gram override broke one).
+error (including poles at roots of unity, invalid colors, inputs past the
+size limits, a batch file with no pairs and a malformed or unmatched Gram
+override), 2 verification failure (some pair is not an isomorphism, or a
+Gram override broke one).
 """
 
 import argparse
@@ -18,6 +19,14 @@ from .scalars import (Mode, format_scalar, parse_mode, parse_scalar,
 from .tl_category import jones_wenzl
 from .turaev import gram_matrix, good_type_diagrams, object_seq
 from .functor import FunctorReport, verify_equivalence
+
+
+# Larger inputs run for minutes, so they are refused with one error line.
+# At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
+# homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
+MAX_JW = 7          # largest projector of the jw command
+MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
+MAX_STRANDS = 10    # largest |s| + |t| of such a pair
 
 
 class UsageError(Exception):
@@ -44,6 +53,19 @@ def _parse_seq(text: str) -> tuple:
 
 def _format_seq(s: tuple) -> str:
     return ",".join(str(n) for n in s) if s else "0"
+
+
+def _parse_pair(s_text: str, t_text: str) -> tuple:
+    """Both object sequences of a pair, refused past the size limits."""
+    s, t = _parse_seq(s_text), _parse_seq(t_text)
+    if max(s + t) > MAX_COLOR:
+        raise UsageError(f"color {max(s + t)} is above the limit of "
+                         f"{MAX_COLOR}")
+    if sum(s) + sum(t) > MAX_STRANDS:
+        raise UsageError(f"{_format_seq(s)} ; {_format_seq(t)} has "
+                         f"{sum(s) + sum(t)} strands, above the limit of "
+                         f"{MAX_STRANDS}")
+    return s, t
 
 
 def _emit(text: str, out_path):
@@ -86,6 +108,8 @@ def _cmd_bracket(args, mode: Mode) -> int:
 
 
 def _cmd_jw(args, mode: Mode) -> int:
+    if args.k > MAX_JW:
+        raise UsageError(f"jw {args.k} is above the limit of {MAX_JW} strands")
     proj = jones_wenzl(args.k, mode)
     rows = proj.morphism.to_pairs()
     if args.format == "json":
@@ -110,8 +134,7 @@ def _report_line(rep: FunctorReport) -> str:
 
 
 def _cmd_homdim(args, mode: Mode) -> int:
-    rep = verify_equivalence(_parse_seq(args.source), _parse_seq(args.target),
-                             mode)
+    rep = verify_equivalence(*_parse_pair(args.source, args.target), mode)
     if args.format == "json":
         _emit(json.dumps(rep.to_json_dict(), sort_keys=True) + "\n", args.out)
     else:
@@ -213,8 +236,7 @@ def _cmd_verify(args, default_mode: Mode) -> int:
             raise UsageError(
                 f"{args.batch_file}:{lineno}: expected 's ; t ; mode'")
         try:
-            rep = verify_equivalence(_parse_seq(s_text), _parse_seq(t_text),
-                                     mode)
+            rep = verify_equivalence(*_parse_pair(s_text, t_text), mode)
         except (UsageError, ValueError, ArithmeticError) as exc:
             raise UsageError(f"{args.batch_file}:{lineno}: {exc}") from None
         if override is not None:
@@ -225,6 +247,8 @@ def _cmd_verify(args, default_mode: Mode) -> int:
                                     rep.dim_rep_side, rep.matrix_rank,
                                     rep.mode)
         reports.append(rep)
+    if not reports:
+        raise UsageError(f"{args.batch_file}: no pairs to verify")
     if override is not None and not matched:
         s, t, mode = override[0]
         raise UsageError(
@@ -241,8 +265,7 @@ def _cmd_verify(args, default_mode: Mode) -> int:
 
 
 def _cmd_gram(args, mode: Mode) -> int:
-    s = object_seq(_parse_seq(args.source), mode)
-    t = object_seq(_parse_seq(args.target), mode)
+    s, t = (object_seq(x, mode) for x in _parse_pair(args.source, args.target))
     g = gram_matrix(s, t, mode)
     rows = [[format_scalar(x) for x in row] for row in g]
     if args.format == "json":

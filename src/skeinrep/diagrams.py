@@ -374,17 +374,14 @@ def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    """f placed to the left of g."""
+    """f placed to the left of g.  tensor_simple is injective for fixed
+    arities, so each pair of terms gives a diagram of its own."""
     if f.mode != g.mode:
         raise ValueError("mode mismatch")
-    terms: dict = {}
-    for d1, c1 in f.terms.items():
-        for d2, c2 in g.terms.items():
-            d = tensor_simple(d1, d2)
-            c = c1 * c2
-            s = terms.get(d)
-            terms[d] = c if s is None else s + c
-    return TLMorphism(f.inputs + g.inputs, f.outputs + g.outputs, terms, f.mode)
+    return TLMorphism(f.inputs + g.inputs, f.outputs + g.outputs,
+                      {tensor_simple(d1, d2): c1 * c2
+                       for d1, c1 in f.terms.items()
+                       for d2, c2 in g.terms.items()}, f.mode)
 
 
 # ---------------------------------------------------------------------------

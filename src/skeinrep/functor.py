@@ -12,12 +12,9 @@ rank of the pairing between functor images and intertwiners.  The functor
 is an equivalence on the pair exactly when all three agree.
 """
 
-import math
 from functools import cache
 
-from .scalars import (GENERIC, Mode, PoleError, ScalarCyclotomic,
-                      ScalarGeneric, _contract, _lmul, _poly_divexact,
-                      _poly_gcd)
+from .scalars import GENERIC, Mode, PoleError, _contract, clear_denominators
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism
 from .tl_category import jones_wenzl
@@ -98,14 +95,15 @@ def _simple_rep(d: SimpleDiagram, mode: Mode) -> RepMap:
 
 
 def F_diagram(f: TLMorphism) -> RepMap:
-    """Linear extension of the functor to a formal sum of simple diagrams."""
-    total = None
+    """Linear extension of the functor to a formal sum of simple diagrams,
+    one contraction of coefficients against diagram images per entry."""
+    buckets: dict = {}
     for d, c in f.terms.items():
-        t = _simple_rep(d, f.mode).scale(c)
-        total = t if total is None else total + t
-    if total is None:
-        return RepMap.zero(f.inputs, f.outputs, f.mode)
-    return total
+        for key, v in _simple_rep(d, f.mode).entries.items():
+            buckets.setdefault(key, []).append((c, v))
+    return RepMap(f.inputs, f.outputs,
+                  {key: _contract(ps, f.mode) for key, ps in buckets.items()},
+                  f.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -340,37 +338,9 @@ class FunctorReport:
 def _denominator_clear(m: RepMap) -> RepMap:
     # scale a matrix by one scalar so every entry is denominator-free;
     # Gram and pairing ranks are unchanged by such scalings
-    if not m.entries:
-        return m
-    mode = m.mode
-    if mode.is_root:
-        lcm = 1
-        for v in m.entries.values():
-            lcm = math.lcm(lcm, v.den)
-        if lcm == 1:
-            return m
-        # lcm / den is exact and scaling keeps a residue reduced
-        return RepMap(m.source_rank, m.target_rank,
-                      {k: ScalarCyclotomic(mode.r, [c * (lcm // v.den)
-                                                    for c in v.coeffs],
-                                           1, _canonical=True)
-                       for k, v in m.entries.items()}, mode)
-    lcm = {0: 1}
-    seen = set()
-    for v in m.entries.values():
-        key = tuple(sorted(v.den.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        g = _poly_gcd(lcm, v.den)
-        lcm = _poly_divexact(_lmul(lcm, v.den), g)
-    if lcm == {0: 1}:
-        return m
-    # lcm / den is exact, so each product is a polynomial and needs no gcd
     return RepMap(m.source_rank, m.target_rank,
-                  {k: ScalarGeneric.from_laurent(
-                      _lmul(v.num, _poly_divexact(lcm, v.den)))
-                   for k, v in m.entries.items()}, mode)
+                  dict(zip(m.entries, clear_denominators(m.entries.values(),
+                                                         m.mode))), m.mode)
 
 
 def _k_rows(m: RepMap) -> RepMap:

@@ -617,20 +617,50 @@ def _eval_cyclo(f: Laurent, r: int) -> ScalarCyclotomic:
     return ScalarCyclotomic(r, cs)
 
 
-def _contract(pairs, mode):
-    """Sum of x * y over the (x, y) pairs, exactly.
+def _lcm_step(den, d, folded: list):
+    """The factor taking den to lcm(den, d), or None if d divides den.  A
+    den is an int (root) or a polynomial (generic); folded lists the dens
+    den is a multiple of, so a repeated one costs no gcd."""
+    if d == den or d in folded:
+        return None
+    folded.append(d)
+    if type(d) is int:
+        grow = d // gcd(den, d)
+        return None if grow == 1 else grow
+    grow = _poly_divexact(d, _poly_gcd(den, d))
+    return None if grow == _ONE else grow
 
-    Root mode convolves the raw coefficient tuples into one integer
-    accumulator over a common integer denominator, then reduces mod
-    Phi_{4r} and takes the content gcd once.  Generic mode multiplies and
-    adds pairwise.
+
+def _contract(pairs, mode):
+    """Sum of x * y over the (x, y) pairs, exactly, normalized once: the
+    numerators are convolved into one accumulator over a running common
+    denominator, then root mode reduces mod Phi_{4r} and by the content
+    gcd, and generic mode cancels the polynomial gcd (none over den 1).
     """
+    folded: list = []
     if not mode.is_root:
-        total = None
+        acc: Laurent = {}       # zero coefficients dropped at the end
+        den = _ONE
         for x, y in pairs:
-            p = x * y
-            total = p if total is None else total + p
-        return total if total is not None else mode.zero()
+            xs, ys = x.num, y.num
+            if not xs or not ys:
+                continue
+            d = (y.den if x.den == _ONE else x.den if y.den == _ONE
+                 else _lmul(x.den, y.den))
+            if d != den:
+                grow = _lcm_step(den, d, folded)
+                if grow is not None:
+                    acc = _lmul({e: c for e, c in acc.items() if c}, grow)
+                    den = _lmul(den, grow)
+                xs = _lmul(xs, _poly_divexact(den, d))
+            for e1, c1 in xs.items():
+                for e2, c2 in ys.items():
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        num = {e: c for e, c in acc.items() if c}
+        if den == _ONE:
+            return ScalarGeneric(num, dict(_ONE), _canonical=True)
+        return ScalarGeneric(num, den)
     acc = [0] * (2 * _power_table(mode.r)[0] - 1)
     den = 1
     for x, y in pairs:
@@ -639,8 +669,8 @@ def _contract(pairs, mode):
             continue
         d = x.den * y.den
         if d != den:
-            if den % d:
-                grow = d // gcd(den, d)
+            grow = _lcm_step(den, d, folded)
+            if grow is not None:
                 acc = [c * grow for c in acc]
                 den *= grow
             m = den // d
@@ -653,26 +683,30 @@ def _contract(pairs, mode):
 
 
 def sum_scalars(values, mode) -> object:
-    """Sum scalars with a single normalization at the end.
+    """Sum of the values, normalized once: their contraction against 1."""
+    one = mode.one()
+    return _contract([(v, one) for v in values], mode)
 
-    Generic values accumulate over an incrementally maintained common
-    denominator, far cheaper than pairwise canonicalizing additions; root
-    values go through the contraction kernel.
-    """
-    vals = list(values)
+
+def clear_denominators(values, mode) -> list:
+    """The values times the lcm of their denominators (by the lcm step of
+    _contract); lcm / den is exact, so no value needs a gcd."""
+    values = list(values)
+    one = 1 if mode.is_root else _ONE
+    lcm, folded = one, []
+    for v in values:
+        grow = _lcm_step(lcm, v.den, folded)
+        if grow is not None:
+            lcm = lcm * grow if mode.is_root else _lmul(lcm, grow)
+    if lcm == one:
+        return values
     if mode.is_root:
-        one = mode.one()
-        return _contract([(v, one) for v in vals], mode)
-    num: Laurent = {}
-    den: Laurent = dict(_ONE)
-    for v in vals:
-        g = _poly_gcd(den, v.den)
-        extra = _poly_divexact(v.den, g)
-        if extra != _ONE:
-            num = _lmul(num, extra)
-            den = _lmul(den, extra)
-        num = _ladd(num, _lmul(v.num, _poly_divexact(den, v.den)))
-    return ScalarGeneric(num, den)
+        return [ScalarCyclotomic(mode.r, [c * (lcm // v.den)
+                                          for c in v.coeffs], 1, _canonical=True)
+                for v in values]
+    return [ScalarGeneric.from_laurent(_lmul(v.num,
+                                             _poly_divexact(lcm, v.den)))
+            for v in values]
 
 
 # ---------------------------------------------------------------------------

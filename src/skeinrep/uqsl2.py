@@ -126,21 +126,16 @@ def act(generator: str, v: TensorVector) -> TensorVector:
     if generator not in _GENERATORS:
         raise ValueError(f"unknown generator {generator!r}")
     n, mode = v.rank, v.mode
-    out: dict = {}
+    out: dict = {}      # mask -> (coefficient, a-power) pairs to contract
 
-    def put(mask, c):
-        s = out.get(mask)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(mask, None)
-        else:
-            out[mask] = s
+    def put(mask, c, e):
+        out.setdefault(mask, []).append((c, mode.a_power(e)))
 
     for mask, c in v.components.items():
         if generator in ("K", "K^-1"):
             w = mask_weight(mask, n)
             e = 2 * w if generator == "K" else -2 * w
-            put(mask, c * mode.a_power(e))
+            put(mask, c, e)
         elif generator == "X":
             # X at position j, K on every factor right of j
             for j in range(n):
@@ -148,7 +143,7 @@ def act(generator: str, v: TensorVector) -> TensorVector:
                 if (mask >> shift) & 1:
                     tail = mask & ((1 << shift) - 1)
                     w = shift - 2 * tail.bit_count()
-                    put(mask & ~(1 << shift), c * mode.a_power(2 * w))
+                    put(mask & ~(1 << shift), c, 2 * w)
         else:
             # Y at position j, K^-1 on every factor left of j
             for j in range(n):
@@ -156,8 +151,9 @@ def act(generator: str, v: TensorVector) -> TensorVector:
                 if not (mask >> shift) & 1:
                     head = mask >> (shift + 1)
                     w = j - 2 * head.bit_count()
-                    put(mask | (1 << shift), c * mode.a_power(-2 * w))
-    return TensorVector(n, out, mode)
+                    put(mask | (1 << shift), c, -2 * w)
+    return TensorVector(n, {m: _contract(ps, mode) for m, ps in out.items()},
+                        mode)
 
 
 def _qbinom(i: int, s: int, mode: Mode):
@@ -279,16 +275,17 @@ class RepMap:
     def apply(self, v: TensorVector) -> TensorVector:
         if v.rank != self.source_rank:
             raise ValueError("rank mismatch")
-        out: dict = {}
         cols: dict = {}
         for (i, j), x in self.entries.items():
             cols.setdefault(j, []).append((i, x))
+        pairs: dict = {}
         for j, c in v.components.items():
             for i, x in cols.get(j, ()):
-                s = out.get(i)
-                p = x * c
-                out[i] = p if s is None else s + p
-        return TensorVector(self.target_rank, out, self.mode)
+                pairs.setdefault(i, []).append((x, c))
+        mode = self.mode
+        return TensorVector(self.target_rank,
+                            {i: _contract(ps, mode) for i, ps in pairs.items()},
+                            mode)
 
     def __eq__(self, other):
         if not isinstance(other, RepMap):
@@ -515,7 +512,7 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
     elim = Eliminator(track=True)
     for idx, col in enumerate(cols):
         elim.add(col.components, tag=idx)
-    entries: dict = {}
+    pairs: dict = {}
     for j in range(1 << n):
         coords = elim.coordinates({j: mode_one})
         if coords is None:
@@ -524,8 +521,6 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
             if t >= top_count:
                 continue
             for i, x in cols[t].components.items():
-                key = (i, j)
-                s = entries.get(key)
-                p = c * x
-                entries[key] = p if s is None else s + p
-    return RepMap(n, n, entries, mode)
+                pairs.setdefault((i, j), []).append((c, x))
+    return RepMap(n, n, {key: _contract(ps, mode) for key, ps in pairs.items()},
+                  mode)

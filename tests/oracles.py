@@ -5,7 +5,8 @@ implementation under test: brackets by brute-force state enumeration with
 union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
 matchings by direct recursive chord placement on the boundary circle,
 quantum traces by the full braided composite d . c . ((theta f) x id) . b,
-sparse products and traces by pairwise scalar products and sums.
+sparse products, traces and the functor's linear extension by pairwise
+scalar products and sums.
 """
 
 import math
@@ -13,8 +14,8 @@ from functools import cache
 from math import comb
 
 from skeinrep.diagrams import SimpleDiagram, compose, identity_morphism, tensor
-from skeinrep.functor import (F_diagram, F_object, rep_braiding, rep_coev,
-                              rep_ev, rep_twist)
+from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
+                              rep_coev, rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator
 from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
                               _poly_gcd)
@@ -234,6 +235,18 @@ def pairwise_compose(f, g):
             p = x * y
             out[key] = p if s is None else s + p
     return RepMap(g.source_rank, f.target_rank, out, f.mode)
+
+
+def pairwise_linear_extension(f):
+    """The functor on a formal sum of simple diagrams, each image scaled by
+    its coefficient and the scaled images added one map at a time."""
+    total = None
+    for d, c in f.terms.items():
+        t = _simple_rep(d, f.mode).scale(c)
+        total = t if total is None else total + t
+    if total is None:
+        return RepMap.zero(f.inputs, f.outputs, f.mode)
+    return total
 
 
 def full_projector_hom_matrix(s, t, mode=GENERIC):

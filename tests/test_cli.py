@@ -160,11 +160,30 @@ def test_usage_and_parse_errors_exit_1():
         ("homdim", "3", "3", "--mode", "root:4"),
         ("verify", DATA / "short_line.batch"),
         ("verify", DATA / "bad_colors.batch"),
+        ("verify", DATA / "empty.batch"),
     ]
     for argv in cases:
         code, out, err = run_cli(*argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    # inputs past the size limits are refused at once, in every mode, with
+    # one line that names the limit
+    limits = [
+        (("jw", "8"), "above the limit of 7 strands"),
+        (("jw", "8", "--mode", "root:20"), "above the limit of 7 strands"),
+        (("homdim", "7", "7"), "14 strands, above the limit of 10"),
+        (("homdim", "7", "7", "--mode", "root:12"), "above the limit of 10"),
+        (("gram", "8", "0"), "color 8 is above the limit of 7"),
+        (("homdim", "1,1,1,1,1,1", "1,1,1,1,1,1"), "12 strands"),
+        (("homdim", "7,5", "0"), "7,5 ; 0 has 12 strands"),
+        (("verify", DATA / "too_large.batch"),
+         "too_large.batch:3: 7 ; 7 has 14 strands"),
+    ]
+    for argv, fragment in limits:
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+        assert fragment in err, argv
     # a malformed or ineffective Gram override is one error line that names
     # the file and the fault
     overrides = {
@@ -202,6 +221,14 @@ def test_batch_errors_name_the_line():
     code, out, err = run_cli("verify", DATA / "short_line.batch")
     assert code == 1
     assert "short_line.batch:1:" in err
+
+
+def test_empty_batch_is_an_error():
+    for fmt in ("text", "json"):
+        code, out, err = run_cli("verify", DATA / "empty.batch",
+                                 "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err == f"error: {DATA / 'empty.batch'}: no pairs to verify\n"
 
 
 def test_word_errors_name_the_line():

@@ -101,6 +101,26 @@ def test_compose_tensor_structure():
             == tensor(compose(f, g), u)
 
 
+def test_tensor_keeps_every_pair_of_terms():
+    # tensor_simple is injective for fixed arities, so no two pairs of
+    # terms meet on one diagram
+    rng = random.Random(5)
+    for mode in (GENERIC, RootMode(5)):
+        for _ in range(20):
+            k1, k2 = rng.randint(0, 3), rng.randint(0, 3)
+            l1 = rng.randrange(k1 % 2, 5, 2)
+            l2 = rng.randrange(k2 % 2, 5, 2)
+            f, g = (TLMorphism(k, l, {d: mode.from_int(rng.choice([-2, 1, 3]))
+                                      for d in enumerate_simple(k, l)
+                                      if rng.random() < 0.7}, mode)
+                    for k, l in ((k1, l1), (k2, l2)))
+            fg = tensor(f, g)
+            assert len(fg.terms) == len(f.terms) * len(g.terms)
+            for d1, c1 in f.terms.items():
+                for d2, c2 in g.terms.items():
+                    assert fg.terms[tensor_simple(d1, d2)] == c1 * c2
+
+
 def test_identity_neutral():
     m = GENERIC
     f = e_generator(1, 3, m)

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
-                     hom_dimension, pairwise_compose, pairwise_trace,
-                     scaled_denominator_clear)
+                     hom_dimension, pairwise_compose, pairwise_linear_extension,
+                     pairwise_trace, scaled_denominator_clear)
 from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
@@ -378,6 +378,21 @@ def test_fused_contractions_on_uncleared_maps(mode):
                     == (y.target_rank, y.source_rank):
                 assert _sparse_trace(x, y) == pairwise_trace(x, y)
     assert with_den >= 20
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_linear_extension_matches_pairwise_oracle(mode):
+    # every projector f_k, then every hatted endomorphism basis element of
+    # every object of size <= 4
+    ks = range(1, mode.r) if mode.is_root else range(1, 7)
+    maps = [jones_wenzl(k, mode).morphism for k in ks]
+    colors = range(1, mode.r - 1) if mode.is_root else range(1, 5)
+    maps += [h.value for s in _color_seqs(colors, 4)
+             for h in hom_basis(s, s, mode)]
+    for f in maps:
+        assert F_diagram(f).entries == pairwise_linear_extension(f).entries
+    assert len(maps) > 20
 
 
 def test_hom_matrix_matches_full_projector_composition():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
-                              ScalarGeneric, _contract, _cyclo_reduce,
+                              ScalarGeneric, _contract, _cyclo_reduce, _lshift,
                               cyclotomic_poly, format_scalar, parse_mode,
                               parse_scalar, specialize, sum_scalars)
 
@@ -220,17 +220,73 @@ def test_cyclotomic_arithmetic_stays_canonical(r, data):
         assert q * y == x
 
 
-@pytest.mark.parametrize("r", range(3, 9))
+# generic draws: Laurent numerators over a few shared denominators, so a
+# sum mixes equal, coprime and overlapping denominators
+_DENS = [{0: 1}, {0: 3}, {0: 1, 2: 1}, {0: 1, 2: 1, 4: 1}, {0: -1, 2: 1},
+         {0: 2, 1: 2}, {0: 1, 1: -2, 2: 1}]
+
+
+def _generic():
+    nums = st.dictionaries(st.integers(-4, 4), st.integers(-6, 6).filter(bool),
+                           max_size=4)
+    return st.builds(lambda num, den, e: ScalarGeneric(num, _lshift(den, e)),
+                     nums, st.sampled_from(_DENS), st.integers(0, 2))
+
+
+def _to_sympy(z, a):
+    if isinstance(z, ScalarGeneric):
+        return (sum(c * a ** e for e, c in z.num.items())
+                / sum(c * a ** e for e, c in z.den.items()))
+    return sum(c * a ** e for e, c in enumerate(z.coeffs)) / z.den
+
+
+def _assert_generic_canonical(z, sympy, a):
+    assert min(z.den) == 0
+    assert z.den[max(z.den)] > 0
+    if z.num:
+        shift = min(z.num)
+        num = sum(c * a ** (e - shift) for e, c in z.num.items())
+        den = sum(c * a ** e for e, c in z.den.items())
+        # over Z[a], so integer content counts
+        assert sympy.gcd(num, den) == 1
+    else:
+        assert z.den == {0: 1}
+
+
+@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in range(3, 9)],
+                         ids=lambda m: str(m.r) if m.is_root else "generic")
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_contraction_kernel_matches_pairwise_sum(r, data):
-    mode = RootMode(r)
-    pairs = data.draw(st.lists(st.tuples(_cyclo(r), _cyclo(r)), max_size=8))
+def test_contraction_kernel_matches_pairwise_sum(mode, data):
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    draw = _cyclo(mode.r) if mode.is_root else _generic()
+    pairs = data.draw(st.lists(st.tuples(draw, draw), max_size=8))
+    if data.draw(st.booleans()):
+        # the negated copy cancels the whole sum
+        pairs += [(-x, y) for x, y in pairs]
+    pairs = data.draw(st.permutations(pairs))
+    assert _contract([], mode) == sum_scalars([], mode) == mode.zero()
     want = mode.zero()
     for x, y in pairs:
         want = want + x * y
     got = _contract(pairs, mode)
-    _assert_canonical(got, r)
+    total = sum_scalars([x for x, _ in pairs], mode)
     assert got == want
-    assert sum_scalars([x for x, _ in pairs], mode) \
-        == sum((x for x, _ in pairs), mode.zero())
+    assert total == sum((x for x, _ in pairs), mode.zero())
+    if mode.is_root:
+        _assert_canonical(got, mode.r)
+        _assert_canonical(total, mode.r)
+        phi = sympy.cyclotomic_poly(4 * mode.r, a)
+        expect = sympy.rem(sympy.expand(sum(_to_sympy(x, a) * _to_sympy(y, a)
+                                            for x, y in pairs)), phi, a)
+        assert sympy.expand(_to_sympy(got, a) - expect) == 0
+        return
+    _assert_generic_canonical(got, sympy, a)
+    _assert_generic_canonical(total, sympy, a)
+    expect = sympy.cancel(sum((_to_sympy(x, a) * _to_sympy(y, a)
+                               for x, y in pairs), sympy.Integer(0)))
+    assert sympy.cancel(_to_sympy(got, a) - expect) == 0
+    expect = sympy.cancel(sum((_to_sympy(x, a) for x, _ in pairs),
+                              sympy.Integer(0)))
+    assert sympy.cancel(_to_sympy(total, a) - expect) == 0

@@ -2,10 +2,10 @@
 dimensions, Gram matrices, and batch equivalence verification.
 
 Exit codes: 0 success (and all verdicts iso), 1 usage, parse or arithmetic
-error (including poles at roots of unity, invalid colors, inputs past the
-size limits, a batch file with no pairs and a malformed or unmatched Gram
-override), 2 verification failure (some pair is not an isomorphism, or a
-Gram override broke one).
+error (including poles at roots of unity, invalid colors, inputs or root
+orders past the size limits, a batch file with no pairs and a malformed or
+unmatched Gram override), 2 verification failure (some pair is not an
+isomorphism, or a Gram override broke one).
 """
 
 import argparse
@@ -24,9 +24,13 @@ from .functor import FunctorReport, verify_equivalence
 # Larger inputs run for minutes, so they are refused with one error line.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
 # homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
+# At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 took 5 s
+# generically, 8 s at r = 19 (the largest degree admitted), 12 s at r = 29
+# and 33 s at r = 100 (2-CPU x86-64 machine).
 MAX_JW = 7          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair
+MAX_ROOT = 20       # largest r of a root:<r> mode; RootMode has no limit
 
 
 class UsageError(Exception):
@@ -49,6 +53,15 @@ def _parse_seq(text: str) -> tuple:
     except ValueError:
         raise UsageError(f"bad object sequence {text!r}") from None
     return colors
+
+
+def _parse_mode(text: str) -> Mode:
+    """parse_mode, refused past the root order limit."""
+    mode = parse_mode(text)
+    if mode.is_root and mode.r > MAX_ROOT:
+        raise ValueError(f"root order {mode.r} is above the limit of "
+                         f"{MAX_ROOT}")
+    return mode
 
 
 def _format_seq(s: tuple) -> str:
@@ -146,7 +159,7 @@ def _cmd_homdim(args, mode: Mode) -> int:
 def _override_mode(value) -> Mode:
     if not isinstance(value, str):
         raise ValueError("expected a string such as 'generic' or 'root:5'")
-    return parse_mode(value)
+    return _parse_mode(value)
 
 
 def _override_colors(value, mode: Mode) -> tuple:
@@ -229,7 +242,7 @@ def _cmd_verify(args, default_mode: Mode) -> int:
         elif len(parts) == 3:
             s_text, t_text, mode_text = parts
             try:
-                mode = parse_mode(mode_text)
+                mode = _parse_mode(mode_text)
             except ValueError as exc:
                 raise UsageError(f"{args.batch_file}:{lineno}: {exc}") from None
         else:
@@ -286,7 +299,7 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--mode", default="generic",
-                       help="generic or root:<r> (r >= 3)")
+                       help=f"generic or root:<r> (3 <= r <= {MAX_ROOT})")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -330,7 +343,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        mode = parse_mode(args.mode)
+        mode = _parse_mode(args.mode)
         return _HANDLERS[args.subcommand](args, mode)
     except (UsageError, WordError, ArithmeticError, ValueError,
             OSError, RecursionError) as exc:

@@ -12,9 +12,10 @@ rank of the pairing between functor images and intertwiners.  The functor
 is an equivalence on the pair exactly when all three agree.
 """
 
-from functools import cache
+from functools import cache, reduce
 
-from .scalars import GENERIC, Mode, PoleError, _contract, clear_denominators
+from .scalars import GENERIC, Mode, PoleError, _contract, \
+    clear_denominators, times_a_power
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism
 from .tl_category import jones_wenzl
@@ -110,21 +111,33 @@ def F_diagram(f: TLMorphism) -> RepMap:
 # object images: the projector f_s and a basis of its image
 
 @cache
+def _color_projector(k: int, mode: Mode) -> RepMap:
+    return F_diagram(jones_wenzl(k, mode).morphism)
+
+
 def _object_projector(s: tuple, mode: Mode) -> RepMap:
-    """f_s = f_{s_1} (x) ... (x) f_{s_m}; each color and prefix is cached."""
-    if not s:
-        return RepMap.identity(0, mode)
-    if len(s) == 1:
-        return F_diagram(jones_wenzl(s[0], mode).morphism)
-    return _object_projector(s[:-1], mode).tensor(
-        _object_projector(s[-1:], mode))
+    """f_s = f_{s_1} (x) ... (x) f_{s_m}; each color is cached."""
+    return reduce(RepMap.tensor, [_color_projector(k, mode) for k in s]
+                  or [RepMap.identity(0, mode)])
+
+
+@cache
+def _cleared_projector(s: tuple, mode: Mode) -> RepMap:
+    """lambda_s f_s for a nonzero scalar lambda_s, every entry
+    denominator-free: each color is cleared on its own, so the tensor
+    products multiply polynomials only.  Ranks, rank profiles and
+    coordinates against maps scaled alike do not see lambda_s."""
+    if len(s) <= 1:
+        return _denominator_clear(_object_projector(s, mode))
+    return _cleared_projector(s[:-1], mode).tensor(
+        _cleared_projector(s[-1:], mode))
 
 
 @cache
 def _image_columns(s: tuple, mode: Mode) -> list:
-    # the first linearly independent columns of f_s
+    # the first linearly independent columns of f_s, read off lambda_s f_s
     rows: dict = {}
-    for (i, j), v in _object_projector(s, mode).entries.items():
+    for (i, j), v in _cleared_projector(s, mode).entries.items():
         rows.setdefault(i, {})[j] = v
     return linalg.column_rank_profile(rows.values())
 
@@ -154,11 +167,12 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     Each compression is taken as f_t h C_s, with C_s the image columns of
     f_s (those of F_object); X -> X C_s is injective on maps with
     X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
-    Entries are exact, so the rank is exact.
+    Both projectors enter as lambda f (_cleared_projector), which scales
+    every compression alike.  Entries are exact, so the rank is exact.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    fs, pt = _object_projector(s, mode), _object_projector(t, mode)
+    fs, pt = _cleared_projector(s, mode), _cleared_projector(t, mode)
     keep = set(_image_columns(s, mode))
     ps = RepMap(fs.source_rank, fs.target_rank,
                 {(i, j): v for (i, j), v in fs.entries.items() if j in keep},
@@ -346,11 +360,9 @@ def _denominator_clear(m: RepMap) -> RepMap:
 def _k_rows(m: RepMap) -> RepMap:
     # left-multiply by the diagonal K^(x)target_rank
     n = m.target_rank
-    mode = m.mode
-    k = {w: mode.a_power(2 * w) for w in range(-n, n + 1, 2)}
     return RepMap(m.source_rank, n,
-                  {(i, j): k[mask_weight(i, n)] * v
-                   for (i, j), v in m.entries.items()}, mode)
+                  {(i, j): times_a_power(v, 2 * mask_weight(i, n))
+                   for (i, j), v in m.entries.items()}, m.mode)
 
 
 def _sparse_trace(x: RepMap, y: RepMap):
@@ -367,7 +379,7 @@ def _int_W(k: int, l: int, mode: Mode) -> list:
 
 @cache
 def _kproj(t: tuple, mode: Mode) -> RepMap:
-    return _k_rows(_denominator_clear(_object_projector(t, mode)))
+    return _k_rows(_cleared_projector(t, mode))
 
 
 @cache
@@ -379,7 +391,7 @@ def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
 @cache
 def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
     # B_v = pi_s h_v' for h_v' spanning Hom(V^l, V^|s|)
-    ps = _denominator_clear(_object_projector(s, mode))
+    ps = _cleared_projector(s, mode)
     return [ps.compose(h) for h in _int_W(l, seq_size(s), mode)]
 
 

@@ -682,6 +682,18 @@ def _contract(pairs, mode):
     return ScalarCyclotomic(mode.r, acc, den)
 
 
+def times_a_power(x, e: int):
+    """x * a^e without a multiply: generic mode shifts the numerator (the
+    result is canonical as it stands), root mode shifts the residue by
+    e mod 4r and reduces it once by the table of x^e mod Phi_{4r}
+    (multiplying by a unit keeps the content, so no gcd)."""
+    if isinstance(x, ScalarGeneric):
+        return ScalarGeneric(_lshift(x.num, e), x.den, _canonical=True)
+    r = x.r
+    cs = _cyclo_reduce([0] * (e % (4 * r)) + list(x.coeffs), r)
+    return ScalarCyclotomic(r, cs, x.den, _canonical=True)
+
+
 def sum_scalars(values, mode) -> object:
     """Sum of the values, normalized once: their contraction against 1."""
     one = mode.one()

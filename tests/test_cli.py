@@ -178,6 +178,13 @@ def test_usage_and_parse_errors_exit_1():
         (("homdim", "7,5", "0"), "7,5 ; 0 has 12 strands"),
         (("verify", DATA / "too_large.batch"),
          "too_large.batch:3: 7 ; 7 has 14 strands"),
+        # root orders too, wherever a mode is parsed
+        (("homdim", "1", "1", "--mode", "root:21"),
+         "root order 21 is above the limit of 20"),
+        (("bracket", DATA / "trefoil.word", "--mode", "root:20000"),
+         "root order 20000 is above the limit of 20"),
+        (("verify", DATA / "root_too_large.batch"),
+         "root_too_large.batch:3: root order 21 is above the limit of 20"),
     ]
     for argv, fragment in limits:
         code, out, err = run_cli(*argv)
@@ -192,6 +199,8 @@ def test_usage_and_parse_errors_exit_1():
         "gram_override_bad_entry.json": "matrix row 2, column 2:",
         "gram_override_bad_shape.json": "expected 2 rows of 2 entries",
         "gram_override_unmatched.json": "matches no pair of",
+        "gram_override_root_too_large.json":
+            "key 'mode': root order 21 is above the limit of 20",
     }
     for name, fragment in overrides.items():
         code, out, err = run_cli("verify", DATA / "pairs.batch",

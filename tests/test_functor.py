@@ -9,7 +9,8 @@ from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _int_W, _kproj,
+                              _cleared_projector, _denominator_clear,
+                              _image_columns, _int_W, _kproj,
                               _object_projector, _pairing_A, _pairing_B,
                               _simple_rep, _sparse_trace, coefficient_b,
                               mate_flat, mate_sharp, quantum_trace_rep,
@@ -335,7 +336,7 @@ def test_fused_contractions_match_pairwise_oracles(mode):
     seqs = _color_seqs(colors, 6)
     traces = 0
     for s in seqs:
-        ps = _denominator_clear(_object_projector(s, mode))
+        ps = _cleared_projector(s, mode)
         for t in seqs:
             if seq_size(s) + seq_size(t) > 6:
                 continue
@@ -393,6 +394,43 @@ def test_linear_extension_matches_pairwise_oracle(mode):
     for f in maps:
         assert F_diagram(f).entries == pairwise_linear_extension(f).entries
     assert len(maps) > 20
+
+
+def _projector_cases():
+    # every object of size <= 6, generic and at r = 3, 4, 5
+    yield GENERIC, _color_seqs(range(1, 7), 6)
+    for r in (3, 4, 5):
+        yield RootMode(r), _color_seqs(range(1, r - 1), 6)
+
+
+def test_cleared_projector_is_a_polynomial_multiple_of_f_s():
+    scaled = 0
+    for mode, seqs in _projector_cases():
+        one = mode.one().den
+        for s in seqs:
+            cleared = _cleared_projector(s, mode)
+            true = F_object(s, mode)["projector"]
+            assert all(v.den == one for v in cleared.entries.values())
+            assert (cleared.source_rank, cleared.target_rank) \
+                == (true.source_rank, true.target_rank)
+            key = next(iter(true.entries))
+            c = cleared.entries[key] / true.entries[key]
+            assert not c.is_zero()
+            assert cleared.entries == true.scale(c).entries, (mode, s)
+            scaled += not c.is_one()
+    # not vacuous: generic projectors past f_1, and those of r = 4, carry
+    # denominators
+    assert scaled > 50
+
+
+def test_image_columns_are_the_rank_profile_of_f_s():
+    for mode, seqs in _projector_cases():
+        for s in seqs:
+            rows: dict = {}
+            for (i, j), v in F_object(s, mode)["projector"].entries.items():
+                rows.setdefault(i, {})[j] = v
+            assert _image_columns(s, mode) \
+                == linalg.column_rank_profile(rows.values()), (mode, s)
 
 
 def test_hom_matrix_matches_full_projector_composition():

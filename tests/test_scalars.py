@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
                               ScalarGeneric, _contract, _cyclo_reduce, _lshift,
                               cyclotomic_poly, format_scalar, parse_mode,
-                              parse_scalar, specialize, sum_scalars)
+                              parse_scalar, specialize, sum_scalars,
+                              times_a_power)
 
 
 def test_generic_ring_relations():
@@ -290,3 +291,19 @@ def test_contraction_kernel_matches_pairwise_sum(mode, data):
     expect = sympy.cancel(sum((_to_sympy(x, a) for x, _ in pairs),
                               sympy.Integer(0)))
     assert sympy.cancel(_to_sympy(total, a) - expect) == 0
+
+
+@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in range(3, 9)],
+                         ids=lambda m: str(m.r) if m.is_root else "generic")
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_times_a_power_matches_multiply(mode, data):
+    # the draws include non-unit denominators; e spans several periods 4r
+    x = data.draw(_cyclo(mode.r) if mode.is_root else _generic())
+    e = data.draw(st.integers(-100, 100))
+    got = times_a_power(x, e)
+    assert got == mode.a_power(e) * x
+    if mode.is_root:
+        _assert_canonical(got, mode.r)
+    else:
+        assert got.den == x.den

@@ -10,11 +10,13 @@ Structural morphisms as explicit diagram combinations:
 * ``coev_tl(n)`` / ``ev_tl(n)``: nested cups / caps pairing boundary point
   i with 2n+1-i.
 * ``jones_wenzl(k)``: the unique idempotent in the k-strand algebra that
-  kills every e_i and has identity coefficient 1, built by the Wenzl
-  recursion f_{k+1} = f_k x 1 - (D_{k-1}/D_k) (f_k x 1) e_k (f_k x 1) with
-  D_0 = 1, D_1 = delta, D_{j+1} = delta*D_j - D_{j-1}.  At a root of unity
-  (a primitive 4r-th) the recursion has a pole once D_k = +-[k+1]_q hits a
-  multiple of r, so only k <= r-1 exist.
+  kills every e_i and has identity coefficient 1, built by the one-sided
+  recursion f_k = ext + sum_{i=1}^{k-1} ([i]_q/[k]_q) ext e_{k-1} ... e_i
+  with ext = f_{k-1} x 1: each step stacks every term of ext on k-1 single
+  diagrams and contracts once per output diagram.  At a root of unity (a
+  primitive 4r-th) [k]_q vanishes at k = r, so only k <= r-1 exist.  The
+  two-sided Wenzl recursion is the test oracle ``wenzl_jones_wenzl`` in
+  ``tests/oracles.py``.
 * ``closure_trace(f) = (-1)^n`` times the plain closure ``markov_closure(f)``
   of an n-strand endomorphism: the diagrammatic quantum trace
   d_n . c_{n,n} . (twist_tl(n) f x id_n) . b_n, whose only
@@ -32,11 +34,14 @@ from .diagrams import (
     TLMorphism,
     compose,
     crossing,
-    e_generator,
+    e_diagram,
+    identity_diagram,
     identity_morphism,
+    stack_simple,
     tensor,
+    tensor_simple,
 )
-from .scalars import GENERIC, Mode, PoleError, sum_scalars
+from .scalars import GENERIC, Mode, PoleError, _contract, sum_scalars
 
 
 class JWProjector:
@@ -108,14 +113,6 @@ def _twist_tl(n: int, mode: Mode) -> TLMorphism:
 # ---------------------------------------------------------------------------
 # Jones-Wenzl idempotents
 
-def _loop_weights(k: int, mode: Mode) -> list:
-    # D_0..D_k with D_{j+1} = delta*D_j - D_{j-1}
-    out = [mode.one(), mode.delta()]
-    while len(out) <= k:
-        out.append(mode.delta() * out[-1] - out[-2])
-    return out[:k + 1]
-
-
 def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
     """The k-strand Jones-Wenzl projector.
 
@@ -136,17 +133,30 @@ def jones_wenzl(k: int, mode: Mode = GENERIC) -> JWProjector:
 def _jones_wenzl(k: int, mode: Mode) -> JWProjector:
     # positional arguments only, so every spelling of a call shares one entry
     if k == 0:
-        f = TLMorphism.from_diagram(SimpleDiagram(0, 0, ()), mode)
-    elif k == 1:
-        f = identity_morphism(1, mode)
-    else:
-        prev = _jones_wenzl(k - 1, mode).morphism
-        dd = _loop_weights(k - 1, mode)
-        ratio = dd[k - 2] / dd[k - 1]
-        ext = tensor(prev, identity_morphism(1, mode))
-        f = ext - compose(ext, compose(e_generator(k - 1, k, mode),
-                                       ext)).scale(ratio)
-    return JWProjector(k, f)
+        return JWProjector(0, TLMorphism.from_diagram(SimpleDiagram(0, 0, ()),
+                                                      mode))
+    if k == 1:
+        return JWProjector(1, identity_morphism(1, mode))
+    # ext = f_{k-1} x 1 on top of w_i = e_{k-1} ... e_i, the word grown by
+    # one generator at the bottom per step; ext's strand k is a through
+    # strand and w_i's top has its only cup at k-1, k, so no loop closes
+    strand = identity_diagram(1)
+    ext = [(tensor_simple(d, strand), c)
+           for d, c in _jones_wenzl(k - 1, mode).morphism.terms.items()]
+    one = mode.one()
+    buckets = {d: [(c, one)] for d, c in ext}
+    qk = mode.quantum_int(k)
+    word = identity_diagram(k)
+    for i in range(k - 1, 0, -1):
+        word, loops = stack_simple(word, e_diagram(i, k))
+        assert loops == 0
+        ratio = mode.quantum_int(i) / qk
+        for d, c in ext:
+            top, loops = stack_simple(d, word)
+            assert loops == 0
+            buckets.setdefault(top, []).append((c, ratio))
+    return JWProjector(k, TLMorphism(
+        k, k, {d: _contract(ps, mode) for d, ps in buckets.items()}, mode))
 
 
 def jw_tensor(s, mode: Mode = GENERIC) -> TLMorphism:

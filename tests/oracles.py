@@ -4,7 +4,8 @@ Everything here recomputes an expected value by a route disjoint from the
 implementation under test: brackets by brute-force state enumeration with
 union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
 matchings by direct recursive chord placement on the boundary circle,
-quantum traces by the full braided composite d . c . ((theta f) x id) . b,
+Jones-Wenzl projectors by the two-sided Wenzl recursion, quantum traces
+by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces and the functor's linear extension by pairwise
 scalar products and sums.
 """
@@ -13,7 +14,8 @@ import math
 from functools import cache
 from math import comb
 
-from skeinrep.diagrams import SimpleDiagram, compose, identity_morphism, tensor
+from skeinrep.diagrams import (SimpleDiagram, TLMorphism, compose,
+                               e_generator, identity_morphism, tensor)
 from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator
@@ -169,6 +171,31 @@ def chebyshev_loop(k: int, mode=GENERIC):
     for _ in range(k - 1):
         prev, cur = cur, cur * delta - prev
     return cur
+
+
+def _loop_weights(k: int, mode) -> list:
+    # D_0..D_k with D_{j+1} = delta*D_j - D_{j-1}
+    out = [mode.one(), mode.delta()]
+    while len(out) <= k:
+        out.append(mode.delta() * out[-1] - out[-2])
+    return out[:k + 1]
+
+
+@cache
+def wenzl_jones_wenzl(k: int, mode=GENERIC) -> TLMorphism:
+    """The k-strand projector by the Wenzl recursion
+    f_k = ext - (D_{k-2}/D_{k-1}) ext e_{k-1} ext with ext = f_{k-1} x 1,
+    D_0 = 1, D_1 = delta, D_{j+1} = delta*D_j - D_{j-1}: two full
+    compositions per step, each pair of terms one scalar product."""
+    if k == 0:
+        return TLMorphism.from_diagram(SimpleDiagram(0, 0, ()), mode)
+    if k == 1:
+        return identity_morphism(1, mode)
+    dd = _loop_weights(k - 1, mode)
+    ratio = dd[k - 2] / dd[k - 1]
+    ext = tensor(wenzl_jones_wenzl(k - 1, mode), identity_morphism(1, mode))
+    return ext - compose(ext, compose(e_generator(k - 1, k, mode),
+                                      ext)).scale(ratio)
 
 
 def input_order_elimination(rows, ncols: int, one) -> dict:

@@ -73,6 +73,15 @@ def test_jw_golden():
     assert out == golden("jw2_root5.txt")
 
 
+def test_jw_past_seven_strands():
+    code, out, err = run_cli("jw", "8")
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert len(rows) == 1430
+    identity = " ".join(str(p) for p in list(range(9, 17)) + list(range(1, 9)))
+    assert f"{identity} : 1" in rows
+
+
 def test_homdim_golden():
     code, out, err = run_cli("homdim", "1,1", "2")
     assert (code, err) == (0, "")
@@ -169,8 +178,8 @@ def test_usage_and_parse_errors_exit_1():
     # inputs past the size limits are refused at once, in every mode, with
     # one line that names the limit
     limits = [
-        (("jw", "8"), "above the limit of 7 strands"),
-        (("jw", "8", "--mode", "root:20"), "above the limit of 7 strands"),
+        (("jw", "10"), "above the limit of 9 strands"),
+        (("jw", "10", "--mode", "root:20"), "above the limit of 9 strands"),
         (("homdim", "7", "7"), "14 strands, above the limit of 10"),
         (("homdim", "7", "7", "--mode", "root:12"), "above the limit of 10"),
         (("gram", "8", "0"), "color 8 is above the limit of 7"),

@@ -1,6 +1,7 @@
 import pytest
 
-from oracles import braided_closure_trace, chebyshev_loop
+from oracles import (braided_closure_trace, catalan, chebyshev_loop,
+                     wenzl_jones_wenzl)
 from skeinrep.diagrams import (TLMorphism, compose, e_generator,
                                identity_diagram, identity_morphism, tensor)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
@@ -51,6 +52,29 @@ def test_jones_wenzl_at_roots():
             assert str(err.value) == message, (r, k)
 
 
+def test_jones_wenzl_matches_wenzl_oracle():
+    # the one-sided recursion against the two-sided Wenzl recursion, term
+    # by term: the same diagrams with equal scalars
+    cases = [(k, GENERIC) for k in range(8)]
+    cases += [(k, RootMode(r)) for r in range(3, 9) for k in range(r)]
+    for k, mode in cases:
+        f = jones_wenzl(k, mode).morphism
+        assert f.to_pairs() == wenzl_jones_wenzl(k, mode).to_pairs(), (k, mode)
+
+
+def test_jones_wenzl_past_seven_strands():
+    # identity coefficient 1 and every e_i killed on both sides determine
+    # the projector, so idempotence follows without composing f with f
+    # (k = 9 is left out: its 16 compositions take about 45 s)
+    f = jones_wenzl(8).morphism
+    assert len(f.terms) == catalan(8)
+    assert _identity_coefficient(f).is_one()
+    for i in range(1, 8):
+        e = e_generator(i, 8)
+        assert compose(e, f).is_zero(), i
+        assert compose(f, e).is_zero(), i
+
+
 def test_jw_tensor():
     m = GENERIC
     assert jw_tensor((2, 1), m) \
@@ -66,7 +90,7 @@ def test_closure_trace_values():
     assert closure_trace(identity_morphism(2, m)) == two * two
     assert closure_trace(e_generator(1, 2, m)) == -two
     # the loop filter closes to a quantum integer, Chebyshev up to sign
-    for k in range(7):
+    for k in range(10):
         t = closure_trace(jones_wenzl(k).morphism)
         assert t == m.quantum_int(k + 1)
         cheb = chebyshev_loop(k)

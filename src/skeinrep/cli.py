@@ -26,9 +26,9 @@ from .functor import FunctorReport, verify_equivalence
 # r = 19) and jw 10 22 s.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
 # homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
-# At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 took 5 s
-# generically, 8 s at r = 19 (the largest degree admitted), 12 s at r = 29
-# and 33 s at r = 100 (2-CPU x86-64 machine).
+# At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 takes
+# 4.6 to 6.0 s generically and 13.4 to 14.9 s at r = 19 (the largest degree
+# admitted), homdim 6,4 0 11.2 to 12.4 s at r = 19 (2-CPU x86-64 machine).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .scalars import GENERIC, Mode, sum_scalars
+from .scalars import GENERIC, Mode, _contract
 
 
 class WordError(ValueError):
@@ -29,6 +29,14 @@ class WordError(ValueError):
 def delta(mode: Mode = GENERIC):
     """Loop value -(a^2 + a^-2)."""
     return mode.delta()
+
+
+@cache
+def _delta_power(loops: int, mode: Mode):
+    """delta^loops, the weight of that many closed loops."""
+    if loops == 0:
+        return mode.one()
+    return _delta_power(loops - 1, mode) * mode.delta()
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +362,30 @@ def crossing(i: int, n: int, sign: int, mode: Mode) -> TLMorphism:
 
 
 def compose(f: TLMorphism, g: TLMorphism) -> TLMorphism:
-    """f after g; each closed loop contributes a factor delta."""
+    """f after g; each closed loop contributes a factor delta.  The term
+    pairs are bucketed per output diagram as (c1, c2 * delta^loops), each
+    weighted c2 formed once per term of g and loop count, and each bucket
+    is contracted once."""
     if f.inputs != g.outputs:
         raise ValueError(
             f"arity mismatch: composing {f.inputs} inputs with {g.outputs} outputs")
     if f.mode != g.mode:
         raise ValueError("mode mismatch")
     mode = f.mode
-    dpow = [mode.one()]
     buckets: dict = {}
+    weighted: dict = {}
     for d1, c1 in f.terms.items():
         for d2, c2 in g.terms.items():
             d, loops = stack_simple(d1, d2)
-            while len(dpow) <= loops:
-                dpow.append(dpow[-1] * mode.delta())
-            buckets.setdefault(d, []).append(c1 * c2 * dpow[loops])
-    terms = {d: sum_scalars(cs, mode) for d, cs in buckets.items()}
-    return TLMorphism(g.inputs, f.outputs, terms, mode)
+            if loops:
+                key = (d2, loops)
+                if key not in weighted:
+                    weighted[key] = c2 * _delta_power(loops, mode)
+                c2 = weighted[key]
+            buckets.setdefault(d, []).append((c1, c2))
+    return TLMorphism(g.inputs, f.outputs,
+                      {d: _contract(ps, mode) for d, ps in buckets.items()},
+                      mode)
 
 
 def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:

@@ -30,30 +30,18 @@ from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
 
 @cache
 def _cap_layer(i: int, n: int, mode: Mode) -> RepMap:
-    # d on strands (i, i+1) of n, 1-indexed: d(v0 x v1) = 1, d(v1 x v0) = -q^-1
-    one = mode.one()
-    mqinv = -mode.a_power(-2)
-    s = n - i - 1  # bit shift of strand i+1; strand i sits at s+1
-    entries = {}
-    for tgt in range(1 << (n - 2)):
-        base = ((tgt >> s) << (s + 2)) | (tgt & ((1 << s) - 1))
-        entries[(tgt, base | (0b01 << s))] = one
-        entries[(tgt, base | (0b10 << s))] = mqinv
-    return RepMap(n, n - 2, entries, mode)
+    # id_{i-1} x d x id_{n-i-1}: d on strands (i, i+1) of n, 1-indexed
+    d = elementary_morphisms(mode)["d"]
+    return RepMap.identity(i - 1, mode).tensor(d) \
+        .tensor(RepMap.identity(n - i - 1, mode))
 
 
 @cache
 def _cup_layer(i: int, n: int, mode: Mode) -> RepMap:
-    # b inserting strands (i, i+1) into n, 1-indexed: b(1) = v1 x v0 - q v0 x v1
-    one = mode.one()
-    mq = -mode.a_power(2)
-    s = n - i - 1
-    entries = {}
-    for src in range(1 << (n - 2)):
-        base = ((src >> s) << (s + 2)) | (src & ((1 << s) - 1))
-        entries[(base | (0b10 << s), src)] = one
-        entries[(base | (0b01 << s), src)] = mq
-    return RepMap(n - 2, n, entries, mode)
+    # id_{i-1} x b x id_{n-i-1}: b inserting strands (i, i+1) into n
+    b = elementary_morphisms(mode)["b"]
+    return RepMap.identity(i - 1, mode).tensor(b) \
+        .tensor(RepMap.identity(n - i - 1, mode))
 
 
 def _drop_pair(d: SimpleDiagram, u: int) -> SimpleDiagram:

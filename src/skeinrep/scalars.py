@@ -694,12 +694,6 @@ def times_a_power(x, e: int):
     return ScalarCyclotomic(r, cs, x.den, _canonical=True)
 
 
-def sum_scalars(values, mode) -> object:
-    """Sum of the values, normalized once: their contraction against 1."""
-    one = mode.one()
-    return _contract([(v, one) for v in values], mode)
-
-
 def clear_denominators(values, mode) -> list:
     """The values times the lcm of their denominators (by the lcm step of
     _contract); lcm / den is exact, so no value needs a gcd."""

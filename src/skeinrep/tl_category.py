@@ -32,6 +32,7 @@ from functools import cache
 from .diagrams import (
     SimpleDiagram,
     TLMorphism,
+    _delta_power,
     compose,
     crossing,
     e_diagram,
@@ -41,7 +42,7 @@ from .diagrams import (
     tensor,
     tensor_simple,
 )
-from .scalars import GENERIC, Mode, PoleError, _contract, sum_scalars
+from .scalars import GENERIC, Mode, PoleError, _contract
 
 
 class JWProjector:
@@ -199,14 +200,8 @@ def markov_closure(f: TLMorphism):
     if f.inputs != f.outputs:
         raise ValueError("closure needs an endomorphism")
     mode = f.mode
-    dpow = [mode.one()]
-    parts = []
-    for d, c in f.terms.items():
-        loops = _closure_circles(d)
-        while len(dpow) <= loops:
-            dpow.append(dpow[-1] * mode.delta())
-        parts.append(c * dpow[loops])
-    return sum_scalars(parts, mode)
+    return _contract([(c, _delta_power(_closure_circles(d), mode))
+                      for d, c in f.terms.items()], mode)
 
 
 def closure_trace(f: TLMorphism):

@@ -6,22 +6,24 @@ union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
 matchings by direct recursive chord placement on the boundary circle,
 Jones-Wenzl projectors by the two-sided Wenzl recursion, quantum traces
 by the full braided composite d . c . ((theta f) x id) . b,
-sparse products, traces and the functor's linear extension by pairwise
-scalar products and sums.
+sparse products, traces, diagram composition, plain closures and the
+functor's linear extension by pairwise scalar products and sums.
 """
 
 import math
 from functools import cache
 from math import comb
 
-from skeinrep.diagrams import (SimpleDiagram, TLMorphism, compose,
-                               e_generator, identity_morphism, tensor)
+from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
+                               compose, e_generator, identity_morphism,
+                               stack_simple, tensor)
 from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator
 from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
                               _poly_gcd)
-from skeinrep.tl_category import braiding_tl, coev_tl, ev_tl, twist_tl
+from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
+                                  ev_tl, twist_tl)
 from skeinrep.turaev import hom_basis, object_seq, seq_size
 from skeinrep.uqsl2 import RepMap, rep_hom_basis
 
@@ -262,6 +264,43 @@ def pairwise_compose(f, g):
             p = x * y
             out[key] = p if s is None else s + p
     return RepMap(g.source_rank, f.target_rank, out, f.mode)
+
+
+def pairwise_diagram_compose(f, g):
+    """f after g on diagram combinations, each product c1 * c2 * delta^loops
+    and each partial sum a canonical scalar."""
+    if f.inputs != g.outputs:
+        raise ValueError("arity mismatch")
+    mode = f.mode
+    out: dict = {}
+    for d1, c1 in f.terms.items():
+        for d2, c2 in g.terms.items():
+            d, loops = stack_simple(d1, d2)
+            p = c1 * c2 * mode.delta() ** loops
+            s = out.get(d)
+            out[d] = p if s is None else s + p
+    return TLMorphism(g.inputs, f.outputs, out, mode)
+
+
+def pairwise_markov_closure(f):
+    """Plain closure of an endomorphism, each c * delta^circles and each
+    partial sum a canonical scalar."""
+    if f.inputs != f.outputs:
+        raise ValueError("closure needs an endomorphism")
+    total = f.mode.zero()
+    for d, c in f.terms.items():
+        total = total + c * f.mode.delta() ** _closure_circles(d)
+    return total
+
+
+def pairwise_resolve(word, mode=GENERIC):
+    """A generator word multiplied out layer by layer with
+    pairwise_diagram_compose."""
+    out = None
+    for layer in word.layers:
+        m = _layer_morphism(layer, mode)
+        out = m if out is None else pairwise_diagram_compose(m, out)
+    return out
 
 
 def pairwise_linear_extension(f):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from corpus import CLOSED_WORDS, RMOVE_PAIRS
-from oracles import catalan, noncrossing_matchings, state_sum_bracket
+from oracles import (catalan, noncrossing_matchings, pairwise_resolve,
+                     state_sum_bracket)
 from skeinrep.diagrams import (SimpleDiagram, TLMorphism, WordError, bracket,
                                cap_diagram, compose, cup_diagram, delta,
                                e_diagram, e_generator, enumerate_simple,
@@ -191,6 +192,14 @@ def test_bracket_root_mode_agrees_with_specialization():
             w = parse_word(WORDS[name])
             assert bracket(w, m) == specialize(bracket(w), r), (name, r)
             assert bracket(w, m) == state_sum_bracket(w, m), (name, r)
+
+
+def test_resolve_matches_pairwise_oracle():
+    for mode in (GENERIC, RootMode(3), RootMode(4), RootMode(5)):
+        for name, text in CLOSED_WORDS:
+            w = parse_word(text)
+            assert resolve(w, mode).to_pairs() \
+                == pairwise_resolve(w, mode).to_pairs(), (name, mode)
 
 
 def test_reidemeister_pairs():

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import (braided_closure_trace, catalan, chebyshev_loop,
+                     pairwise_diagram_compose, pairwise_markov_closure,
                      wenzl_jones_wenzl)
 from skeinrep.diagrams import (TLMorphism, compose, e_generator,
                                identity_diagram, identity_morphism, tensor)
@@ -65,14 +66,34 @@ def test_jones_wenzl_matches_wenzl_oracle():
 def test_jones_wenzl_past_seven_strands():
     # identity coefficient 1 and every e_i killed on both sides determine
     # the projector, so idempotence follows without composing f with f
-    # (k = 9 is left out: its 16 compositions take about 45 s)
-    f = jones_wenzl(8).morphism
-    assert len(f.terms) == catalan(8)
-    assert _identity_coefficient(f).is_one()
-    for i in range(1, 8):
-        e = e_generator(i, 8)
-        assert compose(e, f).is_zero(), i
-        assert compose(f, e).is_zero(), i
+    for k in (8, 9):
+        f = jones_wenzl(k).morphism
+        assert len(f.terms) == catalan(k)
+        assert _identity_coefficient(f).is_one()
+        for i in range(1, k):
+            e = e_generator(i, k)
+            assert compose(e, f).is_zero(), (k, i)
+            assert compose(f, e).is_zero(), (k, i)
+
+
+def test_compose_and_closure_match_pairwise_oracles():
+    # the bucketed contraction against one canonical product and one
+    # canonical sum per term pair, on projectors and their e_i products
+    cases = [(k, GENERIC) for k in range(7)]
+    cases += [(k, RootMode(r)) for r in (3, 4, 5) for k in range(r)]
+    for k, mode in cases:
+        f = jones_wenzl(k, mode).morphism
+        products = [(f, f)]
+        for i in range(1, k):
+            e = e_generator(i, k, mode)
+            products += [(e, f), (f, e)]
+        assert markov_closure(f) == pairwise_markov_closure(f), (k, mode)
+        for x, y in products:
+            got = compose(x, y)
+            assert got.to_pairs() == pairwise_diagram_compose(x, y).to_pairs(), \
+                (k, mode)
+            assert markov_closure(got) == pairwise_markov_closure(got), \
+                (k, mode)
 
 
 def test_jw_tensor():

@@ -1,13 +1,15 @@
 import pytest
 
 from oracles import (braided_closure_trace, categorical_trace_rep,
-                     hom_dimension, literal_gram_matrix)
-from skeinrep.diagrams import compose, identity_morphism, tensor
+                     hom_dimension, literal_gram_matrix,
+                     pairwise_diagram_compose, pairwise_markov_closure)
+from skeinrep.diagrams import (TLMorphism, compose, identity_morphism,
+                               tensor)
 from skeinrep.functor import (F_diagram, quantum_trace_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, jones_wenzl,
-                                  jw_tensor, twist_tl)
+                                  jw_tensor, markov_closure, twist_tl)
 from skeinrep.turaev import (HattedMorphism, d_nmj, dual_seq,
                              good_type, good_type_diagrams, gram_matrix,
                              hat, hom_basis, object_seq,
@@ -99,6 +101,27 @@ def test_hat_arity_checks():
         hat(identity_morphism(2, mode), (1,), (2,))
     h = hat(identity_morphism(3, mode), (2, 1), (2, 1))
     assert h.source == (2, 1) and h.value.inputs == 3
+
+
+def test_hat_matches_pairwise_oracle():
+    # every good-type diagram with |s| + |t| <= 6, sandwiched by the
+    # library's compose and by pairwise products and sums
+    mode = GENERIC
+    objs = [o for o in _objects(6, 6) if o]
+    for s in objs:
+        for t in objs:
+            if seq_size(s) + seq_size(t) > 6:
+                continue
+            ps, pt = jw_tensor(s, mode), jw_tensor(t, mode)
+            for d in good_type_diagrams(s, t):
+                g = TLMorphism.from_diagram(d, mode)
+                want = pairwise_diagram_compose(
+                    pt, pairwise_diagram_compose(g, ps))
+                got = hat(g, s, t).value
+                assert got.to_pairs() == want.to_pairs(), (s, t, d)
+                if seq_size(s) == seq_size(t):
+                    assert markov_closure(got) \
+                        == pairwise_markov_closure(want), (s, t, d)
 
 
 def test_gram_frozen_values():

@@ -91,27 +91,13 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _located_word(text: str):
-    # parse the whole word, then replay prefixes to name the failing line
-    try:
-        return parse_word(text)
-    except WordError:
-        lines = text.splitlines()
-        for i in range(1, len(lines) + 1):
-            try:
-                parse_word("\n".join(lines[:i]))
-            except WordError as exc:
-                raise WordError(f"line {i}: {exc}") from None
-        raise
-
-
 def _cmd_bracket(args, mode: Mode) -> int:
     with open(args.word_file) as fh:
         text = fh.read()
     if not text.strip():
         value = mode.one()
     else:
-        word = _located_word(text)
+        word = parse_word(text)
         value = bracket(word, mode)
     body = format_scalar(value)
     if args.format == "json":

@@ -405,6 +405,34 @@ def tensor(f: TLMorphism, g: TLMorphism) -> TLMorphism:
 _LAYER_KINDS = ("id", "cup", "cap", "x+", "x-")
 
 
+def _layer_arity(L, arity):
+    """Strand count above layer L, given the count below it (None under the
+    first layer); raises WordError for a malformed or mismatched layer."""
+    kind = L[0]
+    if kind not in _LAYER_KINDS:
+        raise WordError(f"unknown layer kind {kind!r}")
+    n = L[-1]
+    if n < 0:
+        raise WordError(f"negative arity in layer {L!r}")
+    if arity is not None and n != arity:
+        raise WordError(
+            f"layer {L!r} declares {n} strands but {arity} are present")
+    if kind == "id":
+        return n
+    i = L[1]
+    if kind == "cup":
+        if not 1 <= i <= n + 1:
+            raise WordError(f"cup position out of range in {L!r}")
+        return n + 2
+    if kind == "cap":
+        if not 1 <= i <= n - 1:
+            raise WordError(f"cap position out of range in {L!r}")
+        return n - 2
+    if not 1 <= i <= n - 1:
+        raise WordError(f"crossing position out of range in {L!r}")
+    return n
+
+
 class GeneratorWord:
     """Sequence of elementary layers read bottom to top.
 
@@ -421,31 +449,7 @@ class GeneratorWord:
             raise WordError("empty word")
         arity = None
         for L in layers:
-            kind = L[0]
-            if kind not in _LAYER_KINDS:
-                raise WordError(f"unknown layer kind {kind!r}")
-            n = L[-1]
-            if n < 0:
-                raise WordError(f"negative arity in layer {L!r}")
-            if arity is not None and n != arity:
-                raise WordError(
-                    f"layer {L!r} declares {n} strands but {arity} are present")
-            if kind == "id":
-                arity = n
-            else:
-                i = L[1]
-                if kind == "cup":
-                    if not 1 <= i <= n + 1:
-                        raise WordError(f"cup position out of range in {L!r}")
-                    arity = n + 2
-                elif kind == "cap":
-                    if not 1 <= i <= n - 1:
-                        raise WordError(f"cap position out of range in {L!r}")
-                    arity = n - 2
-                else:
-                    if not 1 <= i <= n - 1:
-                        raise WordError(f"crossing position out of range in {L!r}")
-                    arity = n
+            arity = _layer_arity(L, arity)
         self.layers = layers
         self.inputs = layers[0][-1]
         self.outputs = arity
@@ -460,27 +464,39 @@ class GeneratorWord:
         return hash(self.layers)
 
 
-def parse_word(text: str) -> GeneratorWord:
-    layers = []
-    for raw in text.replace(";", "\n").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "id":
-                if len(parts) != 2:
-                    raise ValueError
-                layers.append(("id", int(parts[1])))
-            elif kind in ("cup", "cap", "x+", "x-"):
-                if len(parts) != 4 or parts[2] != "of":
-                    raise ValueError
-                layers.append((kind, int(parts[1]), int(parts[3])))
-            else:
+def _parse_layer(line: str) -> tuple:
+    parts = line.split()
+    kind = parts[0]
+    try:
+        if kind == "id":
+            if len(parts) != 2:
                 raise ValueError
-        except ValueError:
-            raise WordError(f"bad layer line {line!r}") from None
+            return ("id", int(parts[1]))
+        if kind in ("cup", "cap", "x+", "x-"):
+            if len(parts) != 4 or parts[2] != "of":
+                raise ValueError
+            return (kind, int(parts[1]), int(parts[3]))
+        raise ValueError
+    except ValueError:
+        raise WordError(f"bad layer line {line!r}") from None
+
+
+def parse_word(text: str) -> GeneratorWord:
+    """Read the text form in one pass; an error names the first physical
+    line at which the word goes wrong (layers split by ';' share a line)."""
+    layers = []
+    arity = None
+    for number, raw in enumerate(text.splitlines(), 1):
+        for part in raw.split(";"):
+            line = part.strip()
+            if not line:
+                continue
+            try:
+                layer = _parse_layer(line)
+                arity = _layer_arity(layer, arity)
+            except WordError as exc:
+                raise WordError(f"line {number}: {exc}") from None
+            layers.append(layer)
     return GeneratorWord(layers)
 
 

@@ -2,8 +2,9 @@
 
 A k-point boundary goes to V^(x)k and a color sequence s to the image of
 the projector f_s acting on V^(x)|s|.  On morphisms, a cup goes to
-b: 1 -> V(x)V and a cap to d: V(x)V -> 1, extended over simple diagrams by
-slicing into elementary layers and over linear combinations by linearity.
+b: 1 -> V(x)V and a cap to d: V(x)V -> 1, extended over simple diagrams as
+a product of one such local weight per arc and over linear combinations by
+linearity.
 
 Equivalence verification compares three numbers per object pair: the size
 of the diagram-side hom basis (generic) or its Gram rank (root of unity),
@@ -29,58 +30,35 @@ from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
 # the functor on simple diagrams
 
 @cache
-def _cap_layer(i: int, n: int, mode: Mode) -> RepMap:
-    # id_{i-1} x d x id_{n-i-1}: d on strands (i, i+1) of n, 1-indexed
-    d = elementary_morphisms(mode)["d"]
-    return RepMap.identity(i - 1, mode).tensor(d) \
-        .tensor(RepMap.identity(n - i - 1, mode))
-
-
-@cache
-def _cup_layer(i: int, n: int, mode: Mode) -> RepMap:
-    # id_{i-1} x b x id_{n-i-1}: b inserting strands (i, i+1) into n
-    b = elementary_morphisms(mode)["b"]
-    return RepMap.identity(i - 1, mode).tensor(b) \
-        .tensor(RepMap.identity(n - i - 1, mode))
-
-
-def _drop_pair(d: SimpleDiagram, u: int) -> SimpleDiagram:
-    # remove the arc joining boundary nodes u and u+1 and renumber
-    k, l = d.inputs, d.outputs
-    if u < k:
-        k -= 2
-    else:
-        l -= 2
-    match = []
-    for x, y in enumerate(d.match):
-        if x in (u, u + 1):
-            continue
-        match.append(y - 2 if y > u + 1 else y)
-    return SimpleDiagram(k, l, tuple(match))
+def _arc_weights(mode: Mode) -> tuple:
+    # a cap, then a cup, setting the bit of its left or of its right end:
+    # the entries of d and b at v_1 (x) v_0 and at v_0 (x) v_1
+    em = elementary_morphisms(mode)
+    cap, cup = em["d"].entries, em["b"].entries
+    return cap[(0, 0b10)], cap[(0, 0b01)], cup[(0b10, 0)], cup[(0b01, 0)]
 
 
 @cache
 def _simple_rep(d: SimpleDiagram, mode: Mode) -> RepMap:
-    """Image of a simple diagram: caps innermost-first, then cups."""
+    """Image of a simple diagram, one local weight per arc: a through strand
+    keeps its bit, and a cap or cup on positions p < q sets the bit of p or
+    of q (_arc_weights).  Masks read left to right, from the top bit."""
     k, l = d.inputs, d.outputs
-    out = None
-    for p in range(k - 1):
-        if d.match[p] == p + 1:
-            rest = _simple_rep(_drop_pair(d, p), mode)
-            out = rest.compose(_cap_layer(p + 1, k, mode))
-            break
-    if out is None:
-        for p in range(l - 1):
-            u = k + p
-            if d.match[u] == u + 1:
-                rest = _simple_rep(_drop_pair(d, u), mode)
-                out = _cup_layer(p + 1, l, mode).compose(rest)
-                break
-    if out is None:
-        # no arcs at all: planarity forces the identity
-        assert k == l and all(d.match[p] == k + p for p in range(k))
-        out = RepMap.identity(k, mode)
-    return out
+    bot, top = k - 1, k + l - 1     # bit of input p: bot - p; output: top - p
+    cap_p, cap_q, cup_p, cup_q = _arc_weights(mode)
+    entries = {(0, 0): mode.one()}
+    for p, q in enumerate(d.match):
+        if q < p:
+            continue
+        if q < k:
+            sets = ((0, 1 << (bot - p), cap_p), (0, 1 << (bot - q), cap_q))
+        elif p >= k:
+            sets = ((1 << (top - p), 0, cup_p), (1 << (top - q), 0, cup_q))
+        else:
+            sets = ((0, 0, None), (1 << (top - q), 1 << (bot - p), None))
+        entries = {(i | si, j | sj): v if w is None else v * w
+                   for (i, j), v in entries.items() for si, sj, w in sets}
+    return RepMap(k, l, entries, mode)
 
 
 def F_diagram(f: TLMorphism) -> RepMap:

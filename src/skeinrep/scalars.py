@@ -32,7 +32,6 @@ class PoleError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # integer Laurent polynomial helpers (plain dicts, never mutated after return)
 
-_ZERO: Laurent = {}
 _ONE: Laurent = {0: 1}
 
 
@@ -82,10 +81,7 @@ def _lmaxexp(f: Laurent) -> int:
     return max(f)
 
 def _lcontent(f: Laurent) -> int:
-    g = 0
-    for c in f.values():
-        g = gcd(g, c)
-    return g
+    return gcd(*f.values())
 
 
 def _to_list(f: Laurent) -> list:
@@ -142,9 +138,7 @@ def _list_prem(f: list, g: list) -> list:
 
 
 def _list_primitive(f: list) -> list:
-    c = 0
-    for v in f:
-        c = gcd(c, v)
+    c = gcd(*f)
     if c == 0:
         return []
     if f[-1] < 0:
@@ -181,6 +175,45 @@ def _poly_divexact(f: Laurent, g: Laurent) -> Laurent:
     if g == _ONE:
         return f
     return _from_list(_list_divexact(_to_list(f), _to_list(g)))
+
+
+# ---------------------------------------------------------------------------
+# operators both scalar fields share, bound by name in each class body (so
+# each stays in its class's own __dict__); self._coerce(other) brings an int
+# or a scalar of the same field into that field, or gives NotImplemented
+
+def _sub(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    return self.__add__(other.__neg__())
+
+
+def _rsub(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    return other.__sub__(self)
+
+
+def _rtruediv(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    return other.__truediv__(self)
+
+
+def _pow(self, e: int):
+    if e < 0:
+        return self.inv() ** (-e)
+    out = self._coerce(1)
+    base = self
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +260,15 @@ class ScalarGeneric:
 
     # arithmetic ------------------------------------------------------------
 
+    def _coerce(self, other):
+        if isinstance(other, ScalarGeneric):
+            return other
+        if isinstance(other, int):
+            return ScalarGeneric.from_int(other)
+        return NotImplemented
+
     def __add__(self, other):
-        other = _coerce_generic(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return other
         if self.den == _ONE and other.den == _ONE:
@@ -242,20 +282,10 @@ class ScalarGeneric:
     def __neg__(self):
         return ScalarGeneric(_lneg(self.num), self.den, _canonical=True)
 
-    def __sub__(self, other):
-        other = _coerce_generic(other)
-        if other is NotImplemented:
-            return other
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other):
-        other = _coerce_generic(other)
-        if other is NotImplemented:
-            return other
-        return other.__sub__(self)
+    __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
-        other = _coerce_generic(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return other
         if self.den == _ONE and other.den == _ONE:
@@ -267,7 +297,7 @@ class ScalarGeneric:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_generic(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return other
         if not other.num:
@@ -275,28 +305,14 @@ class ScalarGeneric:
         return ScalarGeneric(_lmul(self.num, other.den),
                              _lmul(self.den, other.num))
 
-    def __rtruediv__(self, other):
-        other = _coerce_generic(other)
-        if other is NotImplemented:
-            return other
-        return other.__truediv__(self)
+    __rtruediv__ = _rtruediv
 
     def inv(self) -> "ScalarGeneric":
         if not self.num:
             raise ZeroDivisionError("division by zero scalar")
         return ScalarGeneric(self.den, self.num)
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = ScalarGeneric.from_int(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+    __pow__ = _pow
 
     # comparison / hashing --------------------------------------------------
 
@@ -318,14 +334,6 @@ class ScalarGeneric:
 
     def __str__(self):
         return format_scalar(self)
-
-
-def _coerce_generic(x):
-    if isinstance(x, ScalarGeneric):
-        return x
-    if isinstance(x, int):
-        return ScalarGeneric.from_int(x)
-    return NotImplemented
 
 
 def _canonicalize(num: Laurent, den: Laurent):
@@ -380,9 +388,7 @@ class ScalarCyclotomic:
             if not cs:
                 den = 1
             elif den != 1:
-                g = den
-                for c in cs:
-                    g = gcd(g, c)
+                g = gcd(den, *cs)
                 if g > 1:
                     den //= g
                     cs = [c // g for c in cs]
@@ -408,19 +414,19 @@ class ScalarCyclotomic:
     def is_one(self) -> bool:
         return self.coeffs == (1,) and self.den == 1
 
-    def _check(self, other):
+    def _coerce(self, other):
         if isinstance(other, int):
             return ScalarCyclotomic.from_int(other, self.r)
         if isinstance(other, ScalarCyclotomic):
             if other.r != self.r:
                 raise ValueError("mixed cyclotomic orders")
             return other
-        return None
+        return NotImplemented
 
     def __add__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         n = max(len(self.coeffs), len(o.coeffs))
         a = list(self.coeffs) + [0] * (n - len(self.coeffs))
         b = list(o.coeffs) + [0] * (n - len(o.coeffs))
@@ -443,22 +449,12 @@ class ScalarCyclotomic:
         return ScalarCyclotomic(self.r, tuple(-c for c in self.coeffs),
                                 self.den, _canonical=True)
 
-    def __sub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return self.__add__(o.__neg__())
-
-    def __rsub__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o.__sub__(self)
+    __sub__, __rsub__ = _sub, _rsub
 
     def __mul__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         if not self.coeffs or not o.coeffs:
             return ScalarCyclotomic(self.r, (), 1, _canonical=True)
         prod = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
@@ -486,28 +482,12 @@ class ScalarCyclotomic:
         return ScalarCyclotomic(self.r, cs, den_lcm * gnum)
 
     def __truediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return self.__mul__(o.inv())
 
-    def __rtruediv__(self, other):
-        o = self._check(other)
-        if o is None:
-            return NotImplemented
-        return o.__mul__(self.inv())
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = ScalarCyclotomic.from_int(1, self.r)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+    __rtruediv__, __pow__ = _rtruediv, _pow
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -725,16 +705,10 @@ class Mode:
     r: int | None = None
 
     def zero(self):
-        raise NotImplementedError
+        return self.from_int(0)
 
     def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def a_power(self, e: int):
-        raise NotImplementedError
+        return self.from_int(1)
 
     def delta(self):
         # loop value -(a^2 + a^-2)
@@ -757,14 +731,6 @@ class Mode:
 
 
 class GenericMode(Mode):
-    is_root = False
-
-    def zero(self):
-        return ScalarGeneric.from_int(0)
-
-    def one(self):
-        return ScalarGeneric.from_int(1)
-
     def from_int(self, n: int):
         return ScalarGeneric.from_int(n)
 
@@ -774,8 +740,7 @@ class GenericMode(Mode):
     def __repr__(self):
         return "generic"
 
-    def __str__(self):
-        return "generic"
+    __str__ = __repr__
 
     def __eq__(self, other):
         return isinstance(other, GenericMode)
@@ -794,12 +759,6 @@ class RootMode(Mode):
             raise ValueError(f"root order r must be >= 3, got {r}")
         self.r = r
 
-    def zero(self):
-        return ScalarCyclotomic.from_int(0, self.r)
-
-    def one(self):
-        return ScalarCyclotomic.from_int(1, self.r)
-
     def from_int(self, n: int):
         return ScalarCyclotomic.from_int(n, self.r)
 
@@ -809,8 +768,7 @@ class RootMode(Mode):
     def __repr__(self):
         return f"root:{self.r}"
 
-    def __str__(self):
-        return f"root:{self.r}"
+    __str__ = __repr__
 
     def __eq__(self, other):
         return isinstance(other, RootMode) and other.r == self.r

@@ -7,7 +7,8 @@ matchings by direct recursive chord placement on the boundary circle,
 Jones-Wenzl projectors by the two-sided Wenzl recursion, quantum traces
 by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
-functor's linear extension by pairwise scalar products and sums.
+functor's linear extension by pairwise scalar products and sums, and the
+functor on a simple diagram by composing elementary cap and cup layers.
 """
 
 import math
@@ -25,7 +26,7 @@ from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import hom_basis, object_seq, seq_size
-from skeinrep.uqsl2 import RepMap, rep_hom_basis
+from skeinrep.uqsl2 import RepMap, elementary_morphisms, rep_hom_basis
 
 
 def catalan(n: int) -> int:
@@ -301,6 +302,48 @@ def pairwise_resolve(word, mode=GENERIC):
         m = _layer_morphism(layer, mode)
         out = m if out is None else pairwise_diagram_compose(m, out)
     return out
+
+
+def _drop_pair(d, u):
+    # remove the arc joining boundary nodes u and u+1 and renumber
+    k, l = d.inputs, d.outputs
+    if u < k:
+        k -= 2
+    else:
+        l -= 2
+    match = []
+    for x, y in enumerate(d.match):
+        if x in (u, u + 1):
+            continue
+        match.append(y - 2 if y > u + 1 else y)
+    return SimpleDiagram(k, l, tuple(match))
+
+
+def _elementary_layer(name, i, n, mode):
+    # id_{i-1} x b x id_{n-i-1} or id_{i-1} x d x id_{n-i-1}, 1-indexed i
+    layer = elementary_morphisms(mode)[name]
+    return RepMap.identity(i - 1, mode).tensor(layer) \
+        .tensor(RepMap.identity(n - i - 1, mode))
+
+
+@cache
+def layered_simple_rep(d, mode=GENERIC):
+    """The functor on a simple diagram as a composite of elementary layers:
+    an innermost cap of the inputs first, then an innermost cup of the
+    outputs, down to a bare identity."""
+    k, l = d.inputs, d.outputs
+    for p in range(k - 1):
+        if d.match[p] == p + 1:
+            rest = layered_simple_rep(_drop_pair(d, p), mode)
+            return rest.compose(_elementary_layer("d", p + 1, k, mode))
+    for p in range(l - 1):
+        u = k + p
+        if d.match[u] == u + 1:
+            rest = layered_simple_rep(_drop_pair(d, u), mode)
+            return _elementary_layer("b", p + 1, l, mode).compose(rest)
+    # no arcs at all: planarity forces the identity
+    assert k == l and all(d.match[p] == k + p for p in range(k))
+    return RepMap.identity(k, mode)
 
 
 def pairwise_linear_extension(f):

@@ -249,10 +249,19 @@ def test_empty_batch_is_an_error():
         assert err == f"error: {DATA / 'empty.batch'}: no pairs to verify\n"
 
 
-def test_word_errors_name_the_line():
+def test_word_errors_name_the_line(tmp_path):
     code, out, err = run_cli("bracket", DATA / "bad.word")
     assert code == 1
     assert err.startswith("error: line 2:")
+    # a blank first line, and a long word that goes wrong on its last line
+    bad_cap = "cap position out of range in ('cap', 5, 2)"
+    for text, line in (("\ncup 1 of 0\ncap 5 of 2\n", 3),
+                       ("cup 1 of 0\n" + "id 2\n" * 8000 + "cap 5 of 2\n",
+                        8002)):
+        path = tmp_path / "bad.word"
+        path.write_text(text)
+        assert run_cli("bracket", path) == (
+            1, "", f"error: line {line}: {bad_cap}\n")
 
 
 def run_script(exe):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
-                     hom_dimension, pairwise_compose, pairwise_linear_extension,
-                     pairwise_trace, scaled_denominator_clear)
+                     hom_dimension, layered_simple_rep, pairwise_compose,
+                     pairwise_linear_extension, pairwise_trace,
+                     scaled_denominator_clear)
 from skeinrep import linalg
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
@@ -394,6 +395,21 @@ def test_linear_extension_matches_pairwise_oracle(mode):
     for f in maps:
         assert F_diagram(f).entries == pairwise_linear_extension(f).entries
     assert len(maps) > 20
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(5),
+                                  RootMode(19)], ids=str)
+def test_simple_rep_matches_layered_oracle(mode):
+    # every simple (k, l) diagram with k + l <= 10
+    count = 0
+    for k in range(11):
+        for l in range(k % 2, 11 - k, 2):
+            for d in enumerate_simple(k, l):
+                got, want = _simple_rep(d, mode), layered_simple_rep(d, mode)
+                assert (got.source_rank, got.target_rank) == (k, l)
+                assert got.entries == want.entries, d
+                count += 1
+    assert count == 637
 
 
 def _projector_cases():

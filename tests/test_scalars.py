@@ -18,6 +18,26 @@ def test_generic_ring_relations():
     assert (a ** 3).is_zero() is False
     assert ScalarGeneric.from_int(0).is_zero()
     assert one.is_one()
+    # int on either side of -, / and the ** identities
+    x = (a + 2) / (a ** 2 + 3)
+    assert (1 - x) + x == one
+    assert (x - 1) + 1 == x
+    assert (2 / x) * x == 2
+    assert x ** -3 * (x * x * x) == one
+    assert x ** 0 == one
+
+
+def test_operators_refuse_other_types():
+    g = ScalarGeneric.a_power(1) + 1
+    for x in (g, ScalarCyclotomic.a_power(1, 5) + 1):
+        with pytest.raises(TypeError):
+            x - 1.5
+        with pytest.raises(TypeError):
+            1.5 / x
+    with pytest.raises(TypeError):
+        g - ScalarCyclotomic.from_int(1, 5)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        ScalarCyclotomic.a_power(1, 5) - ScalarCyclotomic.a_power(1, 7)
 
 
 def test_generic_fraction_canonical():
@@ -212,12 +232,18 @@ def test_cyclo_reduce_matches_sympy_remainder(r, data):
 def test_cyclotomic_arithmetic_stays_canonical(r, data):
     x = data.draw(_cyclo(r))
     y = data.draw(_cyclo(r))
-    for z in (x, y, x * y, x + y, x - y):
+    for z in (x, y, x * y, x + y, x - y, 1 - x, x - 1, x ** 0):
         _assert_canonical(z, r)
+    assert (1 - x) + x == 1 and (x - 1) + 1 == x
+    assert x ** 0 == 1
     if not y.is_zero():
         q = x * y.inv()
         _assert_canonical(q, r)
         assert q * y == x
+        for z in (2 / y, y ** -3):
+            _assert_canonical(z, r)
+        assert (2 / y) * y == 2
+        assert y ** -3 * (y * y * y) == 1
 
 
 # generic draws: Laurent numerators over a few shared denominators, so a

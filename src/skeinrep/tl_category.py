@@ -162,6 +162,11 @@ def _jones_wenzl(k: int, mode: Mode) -> JWProjector:
 
 def jw_tensor(s, mode: Mode = GENERIC) -> TLMorphism:
     """Tensor product of Jones-Wenzl projectors over the entries of s."""
+    return _jw_tensor(tuple(s), mode)
+
+
+@cache
+def _jw_tensor(s: tuple, mode: Mode) -> TLMorphism:
     out = TLMorphism.from_diagram(SimpleDiagram(0, 0, ()), mode)
     for n in s:
         out = tensor(out, jones_wenzl(n, mode).morphism)

@@ -89,7 +89,14 @@ def hat(g: TLMorphism, s, s_prime) -> HattedMorphism:
     if g.inputs != seq_size(s) or g.outputs != seq_size(s_prime):
         raise ValueError(
             f"arity mismatch: {g.inputs}->{g.outputs} vs |{s}|, |{s_prime}|")
-    value = compose(jw_tensor(s_prime, mode), compose(g, jw_tensor(s, mode)))
+    y = compose(g, jw_tensor(s, mode))
+    # f_{s'} kills each term with a top cup inside one of its blocks: the
+    # innermost such cup joins adjacent points i, i+1, so the term is e_i D'
+    # and f_k e_i = 0
+    kept = {d: c for d, c in y.terms.items()
+            if not _arc_in_block(d, s_prime, top=True)}
+    value = compose(jw_tensor(s_prime, mode),
+                    TLMorphism(y.inputs, y.outputs, kept, mode))
     return HattedMorphism(s, s_prime, value)
 
 
@@ -103,19 +110,19 @@ def _block_index(s) -> list:
     return out
 
 
+def _arc_in_block(d: SimpleDiagram, s, top: bool) -> bool:
+    """Some arc joins two points of one block of s, on the top line of d
+    when top is true, else on its bottom line."""
+    lo, hi = (d.inputs, len(d.match)) if top else (0, d.inputs)
+    blocks = _block_index(s)
+    return any(lo <= p < q < hi and blocks[p - lo] == blocks[q - lo]
+               for p, q in enumerate(d.match))
+
+
 def good_type(d: SimpleDiagram, s, s_prime) -> bool:
     """No arc inside a single source block or single target block."""
-    k = seq_size(s)
-    inb = _block_index(s)
-    outb = _block_index(s_prime)
-    for p, q in enumerate(d.match):
-        if p >= q:
-            continue
-        if q < k and inb[p] == inb[q]:
-            return False
-        if p >= k and outb[p - k] == outb[q - k]:
-            return False
-    return True
+    return not (_arc_in_block(d, s, top=False)
+                or _arc_in_block(d, s_prime, top=True))
 
 
 def good_type_diagrams(s, s_prime) -> list:

@@ -8,8 +8,9 @@ from skeinrep.diagrams import (TLMorphism, compose, identity_morphism,
 from skeinrep.functor import (F_diagram, quantum_trace_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
 from skeinrep.scalars import GENERIC, RootMode
-from skeinrep.tl_category import (braiding_tl, closure_trace, jones_wenzl,
-                                  jw_tensor, markov_closure, twist_tl)
+from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
+                                  jones_wenzl, jw_tensor, markov_closure,
+                                  twist_tl)
 from skeinrep.turaev import (HattedMorphism, d_nmj, dual_seq,
                              good_type, good_type_diagrams, gram_matrix,
                              hat, hom_basis, object_seq,
@@ -105,23 +106,73 @@ def test_hat_arity_checks():
 
 def test_hat_matches_pairwise_oracle():
     # every good-type diagram with |s| + |t| <= 6, sandwiched by the
-    # library's compose and by pairwise products and sums
-    mode = GENERIC
-    objs = [o for o in _objects(6, 6) if o]
-    for s in objs:
-        for t in objs:
-            if seq_size(s) + seq_size(t) > 6:
-                continue
-            ps, pt = jw_tensor(s, mode), jw_tensor(t, mode)
-            for d in good_type_diagrams(s, t):
+    # library's compose and by pairwise products and sums, generic and at
+    # roots of unity, where the colors stop at r - 2
+    for mode in (GENERIC, RootMode(3), RootMode(4), RootMode(5)):
+        maxcolor = mode.r - 2 if mode.is_root else 6
+        objs = [o for o in _objects(maxcolor, 6) if o]
+        for s in objs:
+            for t in objs:
+                if seq_size(s) + seq_size(t) > 6:
+                    continue
+                ps, pt = jw_tensor(s, mode), jw_tensor(t, mode)
+                for d in good_type_diagrams(s, t):
+                    g = TLMorphism.from_diagram(d, mode)
+                    want = pairwise_diagram_compose(
+                        pt, pairwise_diagram_compose(g, ps))
+                    got = hat(g, s, t).value
+                    assert got.to_pairs() == want.to_pairs(), (mode, s, t, d)
+                    if seq_size(s) == seq_size(t):
+                        assert markov_closure(got) \
+                            == pairwise_markov_closure(want), (mode, s, t, d)
+
+
+def test_ribbon_hats_match_pairwise_oracle():
+    # the structural morphisms are not simple diagrams, and their hats drop
+    # the terms f_{s'} kills just the same
+    for mode in (GENERIC, RootMode(4), RootMode(5)):
+        maxcolor = mode.r - 2 if mode.is_root else 3
+        objs = _objects(maxcolor, 3)
+        for s in objs:
+            n = seq_size(s)
+            for t in objs:
+                m = seq_size(t)
+                rd = ribbon_data(s, t, mode)
+                for key, g, src, tgt in [
+                        ("braiding", braiding_tl(n, m, mode), s + t, t + s),
+                        ("twist", twist_tl(n, mode), s, s),
+                        ("coev", coev_tl(n, mode), (), s + dual_seq(s)),
+                        ("ev", ev_tl(n, mode), dual_seq(s) + s, ())]:
+                    want = pairwise_diagram_compose(
+                        jw_tensor(tgt, mode),
+                        pairwise_diagram_compose(g, jw_tensor(src, mode)))
+                    assert rd[key].value.to_pairs() == want.to_pairs(), \
+                        (mode, s, t, key)
+
+
+def test_hat_of_identity_is_the_projector():
+    # one hatted identity per single color, up to 7 strands generic and
+    # every admitted color (at most r - 2) at r = 5 and 8
+    for mode, colors in ((GENERIC, range(1, 8)), (RootMode(5), range(1, 4)),
+                         (RootMode(8), range(1, 7))):
+        for k in colors:
+            h = hat(identity_morphism(k, mode), (k,), (k,))
+            assert h.value == jones_wenzl(k, mode).morphism, (mode, k)
+            assert len(hom_basis((k,), (k,), mode)) == 1, (mode, k)
+
+
+def test_closure_trace_of_hat_absorbs_one_projector():
+    # tr(f d f) = tr(f f d) = tr(f d) by cyclicity and f f = f: an
+    # independent check of every hatted endomorphism's trace, which the
+    # benchmark's own trace check cannot see
+    for mode in (GENERIC, RootMode(5), RootMode(7)):
+        maxcolor = mode.r - 2 if mode.is_root else 5
+        for s in _objects(maxcolor, 5):
+            ps = jw_tensor(s, mode)
+            for d in good_type_diagrams(s, s):
                 g = TLMorphism.from_diagram(d, mode)
-                want = pairwise_diagram_compose(
-                    pt, pairwise_diagram_compose(g, ps))
-                got = hat(g, s, t).value
-                assert got.to_pairs() == want.to_pairs(), (s, t, d)
-                if seq_size(s) == seq_size(t):
-                    assert markov_closure(got) \
-                        == pairwise_markov_closure(want), (s, t, d)
+                assert closure_trace(hat(g, s, s).value) \
+                    == closure_trace(compose(ps, g)), (mode, s, d)
 
 
 def test_gram_frozen_values():
@@ -221,6 +272,7 @@ def test_equal_calls_share_one_cached_value():
     assert hom_basis([1, 0, 2], [3]) is hom_basis((1, 2), (3,), GENERIC)
     assert gram_matrix([1, 1], (2,)) is gram_matrix((1, 1), (2,), GENERIC)
     assert good_type_diagrams([1, 1], [2]) is good_type_diagrams((1, 1), (2,))
+    assert jw_tensor([2, 1]) is jw_tensor((2, 1), GENERIC)
     assert braiding_tl(1, 1) is braiding_tl(1, 1, GENERIC)
     assert braiding_tl(1, 2) is braiding_tl(1, 2, mode=GENERIC)
     assert twist_tl(2) is twist_tl(2, GENERIC)

@@ -30,30 +30,25 @@ from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
 # the functor on simple diagrams
 
 @cache
-def _arc_weights(mode: Mode) -> tuple:
-    # a cap, then a cup, setting the bit of its left or of its right end:
-    # the entries of d and b at v_1 (x) v_0 and at v_0 (x) v_1
-    em = elementary_morphisms(mode)
-    cap, cup = em["d"].entries, em["b"].entries
-    return cap[(0, 0b10)], cap[(0, 0b01)], cup[(0b10, 0)], cup[(0b01, 0)]
-
-
-@cache
 def _simple_rep(d: SimpleDiagram, mode: Mode) -> RepMap:
     """Image of a simple diagram, one local weight per arc: a through strand
     keeps its bit, and a cap or cup on positions p < q sets the bit of p or
-    of q (_arc_weights).  Masks read left to right, from the top bit."""
+    of q, weighted by the entry of d or b at v_1 (x) v_0 or v_0 (x) v_1.
+    Masks read left to right, from the top bit."""
     k, l = d.inputs, d.outputs
     bot, top = k - 1, k + l - 1     # bit of input p: bot - p; output: top - p
-    cap_p, cap_q, cup_p, cup_q = _arc_weights(mode)
+    em = elementary_morphisms(mode)
+    cap, cup = em["d"].entries, em["b"].entries
     entries = {(0, 0): mode.one()}
     for p, q in enumerate(d.match):
         if q < p:
             continue
         if q < k:
-            sets = ((0, 1 << (bot - p), cap_p), (0, 1 << (bot - q), cap_q))
+            sets = ((0, 1 << (bot - p), cap[(0, 0b10)]),
+                    (0, 1 << (bot - q), cap[(0, 0b01)]))
         elif p >= k:
-            sets = ((1 << (top - p), 0, cup_p), (1 << (top - q), 0, cup_q))
+            sets = ((1 << (top - p), 0, cup[(0b10, 0)]),
+                    (1 << (top - q), 0, cup[(0b01, 0)]))
         else:
             sets = ((0, 0, None), (1 << (top - q), 1 << (bot - p), None))
         entries = {(i | si, j | sj): v if w is None else v * w

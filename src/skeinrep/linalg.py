@@ -17,15 +17,20 @@ that dominates input-order elimination mostly has nothing to do.
 
 from __future__ import annotations
 
+from .scalars import _contract
+
 Vec = dict
 
 
 def vec_sub_scaled(u: Vec, v: Vec, c) -> Vec:
-    """u - c*v as a new dict."""
+    """u - c*v as a new dict, each entry one contraction of (s, 1), (-c, x)
+    in the field of c."""
+    mode = c.mode
+    one, neg = mode.signs[0], -c
     out = dict(u)
     for col, x in v.items():
         s = out.get(col)
-        s = -c * x if s is None else s - c * x
+        s = _contract(((neg, x),) if s is None else ((s, one), (neg, x)), mode)
         if s.is_zero():
             out.pop(col, None)
         else:

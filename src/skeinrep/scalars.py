@@ -19,7 +19,7 @@ Conventions used throughout the package: ``q = a**2``, ``q**(1/2) = a``,
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd
 
 Laurent = dict  # exponent (int) -> coefficient (int), zero coefficients absent
@@ -34,16 +34,6 @@ class PoleError(ArithmeticError):
 
 _ONE: Laurent = {0: 1}
 
-
-def _ladd(f: Laurent, g: Laurent) -> Laurent:
-    out = dict(f)
-    for e, c in g.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
 
 def _lneg(f: Laurent) -> Laurent:
     return {e: -c for e, c in f.items()}
@@ -74,19 +64,10 @@ def _lshift(f: Laurent, k: int) -> Laurent:
         return f
     return {e + k: c for e, c in f.items()}
 
-def _lminexp(f: Laurent) -> int:
-    return min(f)
-
-def _lmaxexp(f: Laurent) -> int:
-    return max(f)
-
-def _lcontent(f: Laurent) -> int:
-    return gcd(*f.values())
-
 
 def _to_list(f: Laurent) -> list:
     # little-endian coefficient list; caller guarantees min exponent 0
-    n = _lmaxexp(f) + 1
+    n = max(f) + 1
     out = [0] * n
     for e, c in f.items():
         out[e] = c
@@ -153,7 +134,7 @@ def _poly_gcd(f: Laurent, g: Laurent) -> Laurent:
         return _normalize_sign(g)
     if not g:
         return _normalize_sign(f)
-    cf, cg = abs(_lcontent(f)), abs(_lcontent(g))
+    cf, cg = abs(gcd(*f.values())), abs(gcd(*g.values()))
     u = _list_primitive(_to_list(f))
     v = _list_primitive(_to_list(g))
     if len(u) < len(v):
@@ -166,7 +147,7 @@ def _poly_gcd(f: Laurent, g: Laurent) -> Laurent:
 
 
 def _normalize_sign(f: Laurent) -> Laurent:
-    if f and f[_lmaxexp(f)] < 0:
+    if f and f[max(f)] < 0:
         return _lneg(f)
     return f
 
@@ -180,13 +161,37 @@ def _poly_divexact(f: Laurent, g: Laurent) -> Laurent:
 # ---------------------------------------------------------------------------
 # operators both scalar fields share, bound by name in each class body (so
 # each stays in its class's own __dict__); self._coerce(other) brings an int
-# or a scalar of the same field into that field, or gives NotImplemented
+# or a scalar of the same field into that field, or gives NotImplemented.
+# Every sum and product is one _contract in the field of self.mode.
+
+def _add(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    one = self.mode.signs[0]
+    return _contract(((self, one), (other, one)), self.mode)
+
 
 def _sub(self, other):
     other = self._coerce(other)
     if other is NotImplemented:
         return other
-    return self.__add__(other.__neg__())
+    one, minus_one = self.mode.signs
+    return _contract(((self, one), (other, minus_one)), self.mode)
+
+
+def _mul(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    return _contract(((self, other),), self.mode)
+
+
+def _truediv(self, other):
+    other = self._coerce(other)
+    if other is NotImplemented:
+        return other
+    return _contract(((self, other.inv()),), self.mode)
 
 
 def _rsub(self, other):
@@ -267,52 +272,25 @@ class ScalarGeneric:
             return ScalarGeneric.from_int(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if self.den == _ONE and other.den == _ONE:
-            return ScalarGeneric(_ladd(self.num, other.num), dict(_ONE),
-                                 _canonical=True)
-        num = _ladd(_lmul(self.num, other.den), _lmul(other.num, self.den))
-        return ScalarGeneric(num, _lmul(self.den, other.den))
-
-    __radd__ = __add__
+    __add__ = __radd__ = _add
+    __sub__, __rsub__ = _sub, _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__, __rtruediv__ = _truediv, _rtruediv
+    __pow__ = _pow
 
     def __neg__(self):
         return ScalarGeneric(_lneg(self.num), self.den, _canonical=True)
 
-    __sub__, __rsub__ = _sub, _rsub
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if self.den == _ONE and other.den == _ONE:
-            return ScalarGeneric(_lmul(self.num, other.num), dict(_ONE),
-                                 _canonical=True)
-        return ScalarGeneric(_lmul(self.num, other.num),
-                             _lmul(self.den, other.den))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        if not other.num:
-            raise ZeroDivisionError("division by zero scalar")
-        return ScalarGeneric(_lmul(self.num, other.den),
-                             _lmul(self.den, other.num))
-
-    __rtruediv__ = _rtruediv
-
     def inv(self) -> "ScalarGeneric":
+        # num = a^s * n0 with n0 prime to den, so den / num needs no gcd:
+        # the shift moves to den and the sign of n0's lead goes with it
         if not self.num:
             raise ZeroDivisionError("division by zero scalar")
-        return ScalarGeneric(self.den, self.num)
-
-    __pow__ = _pow
+        s = min(self.num)
+        n0, num = _lshift(self.num, -s), _lshift(self.den, -s)
+        if n0[max(n0)] < 0:
+            n0, num = _lneg(n0), _lneg(num)
+        return ScalarGeneric(num, n0, _canonical=True)
 
     # comparison / hashing --------------------------------------------------
 
@@ -341,15 +319,15 @@ def _canonicalize(num: Laurent, den: Laurent):
         raise ZeroDivisionError("zero denominator")
     if not num:
         return {}, dict(_ONE)
-    dshift = _lminexp(den)
-    nshift = _lminexp(num)
+    dshift = min(den)
+    nshift = min(num)
     d0 = _lshift(den, -dshift)
     n0 = _lshift(num, -nshift)
     g = _poly_gcd(n0, d0)
     if g != _ONE:
         n0 = _poly_divexact(n0, g)
         d0 = _poly_divexact(d0, g)
-    if d0[_lmaxexp(d0)] < 0:
+    if d0[max(d0)] < 0:
         n0 = _lneg(n0)
         d0 = _lneg(d0)
     return _lshift(n0, nshift - dshift), d0
@@ -371,17 +349,19 @@ def cyclotomic_poly(n: int) -> list:
 
 
 class ScalarCyclotomic:
-    """Element of Q(zeta_{4r}): integer residue mod Phi_{4r} over den > 0."""
+    """Element of Q(zeta_{4r}): integer residue mod Phi_{4r} over den > 0,
+    in the field of its mode, the one RootMode(r)."""
 
-    __slots__ = ("r", "coeffs", "den", "_hash")
+    __slots__ = ("mode", "coeffs", "den", "_hash")
 
-    def __init__(self, r: int, coeffs, den: int = 1, _canonical: bool = False):
-        self.r = r
+    def __init__(self, mode: "RootMode", coeffs, den: int = 1,
+                 _canonical: bool = False):
+        self.mode = mode
         if _canonical:
             self.coeffs = tuple(coeffs)
             self.den = den
         else:
-            cs = _cyclo_reduce(list(coeffs), r)
+            cs = _cyclo_reduce(list(coeffs), mode.r)
             if den < 0:
                 den = -den
                 cs = [-c for c in cs]
@@ -396,17 +376,17 @@ class ScalarCyclotomic:
             self.den = den
         self._hash = None
 
+    @property
+    def r(self) -> int:
+        return self.mode.r
+
     @staticmethod
     def from_int(n: int, r: int) -> "ScalarCyclotomic":
-        return ScalarCyclotomic(r, (n,) if n else (), 1, _canonical=True)
+        return RootMode(r).from_int(n)
 
     @staticmethod
     def a_power(e: int, r: int) -> "ScalarCyclotomic":
-        order = 4 * r
-        e %= order
-        cs = [0] * (e + 1)
-        cs[e] = 1
-        return ScalarCyclotomic(r, cs)
+        return RootMode(r).a_power(e)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -416,55 +396,22 @@ class ScalarCyclotomic:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return ScalarCyclotomic.from_int(other, self.r)
+            return self.mode.from_int(other)
         if isinstance(other, ScalarCyclotomic):
-            if other.r != self.r:
+            if other.mode is not self.mode:
                 raise ValueError("mixed cyclotomic orders")
             return other
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [0] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [0] * (n - len(o.coeffs))
-        if self.den == o.den == 1:
-            # a sum of reduced residues is reduced; only the top can cancel
-            cs = [x + y for x, y in zip(a, b)]
-            while cs and cs[-1] == 0:
-                cs.pop()
-            return ScalarCyclotomic(self.r, cs, 1, _canonical=True)
-        if self.den == o.den:
-            return ScalarCyclotomic(self.r,
-                                    [x + y for x, y in zip(a, b)], self.den)
-        return ScalarCyclotomic(
-            self.r, [x * o.den + y * self.den for x, y in zip(a, b)],
-            self.den * o.den)
-
-    __radd__ = __add__
+    __add__ = __radd__ = _add
+    __sub__, __rsub__ = _sub, _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__, __rtruediv__ = _truediv, _rtruediv
+    __pow__ = _pow
 
     def __neg__(self):
-        return ScalarCyclotomic(self.r, tuple(-c for c in self.coeffs),
+        return ScalarCyclotomic(self.mode, tuple(-c for c in self.coeffs),
                                 self.den, _canonical=True)
-
-    __sub__, __rsub__ = _sub, _rsub
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not self.coeffs or not o.coeffs:
-            return ScalarCyclotomic(self.r, (), 1, _canonical=True)
-        prod = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci:
-                for j, cj in enumerate(o.coeffs):
-                    prod[i + j] += ci * cj
-        return ScalarCyclotomic(self.r, prod, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def inv(self) -> "ScalarCyclotomic":
         if not self.coeffs:
@@ -479,22 +426,14 @@ class ScalarCyclotomic:
         gnum, gden = g.numerator, g.denominator
         cs = [c.numerator * (den_lcm // c.denominator) * self.den * gden
               for c in u]
-        return ScalarCyclotomic(self.r, cs, den_lcm * gnum)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.__mul__(o.inv())
-
-    __rtruediv__, __pow__ = _rtruediv, _pow
+        return ScalarCyclotomic(self.mode, cs, den_lcm * gnum)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = ScalarCyclotomic.from_int(other, self.r)
+            other = self.mode.from_int(other)
         if not isinstance(other, ScalarCyclotomic):
             return NotImplemented
-        return (self.r == other.r and self.coeffs == other.coeffs
+        return (self.mode is other.mode and self.coeffs == other.coeffs
                 and self.den == other.den)
 
     def __hash__(self):
@@ -580,8 +519,9 @@ def specialize(x: ScalarGeneric, r: int) -> ScalarCyclotomic:
 
     Raises PoleError if the denominator vanishes there.
     """
-    num = _eval_cyclo(x.num, r)
-    den = _eval_cyclo(x.den, r)
+    mode = RootMode(r)
+    num = _eval_cyclo(x.num, mode)
+    den = _eval_cyclo(x.den, mode)
     if den.is_zero():
         raise PoleError(
             f"denominator {format_laurent(x.den)} vanishes at a primitive "
@@ -589,24 +529,27 @@ def specialize(x: ScalarGeneric, r: int) -> ScalarCyclotomic:
     return num / den
 
 
-def _eval_cyclo(f: Laurent, r: int) -> ScalarCyclotomic:
-    order = 4 * r
+def _eval_cyclo(f: Laurent, mode: "RootMode") -> ScalarCyclotomic:
+    order = 4 * mode.r
     cs: list = [0] * order
     for e, c in f.items():
         cs[e % order] += c
-    return ScalarCyclotomic(r, cs)
+    return ScalarCyclotomic(mode, cs)
 
 
 def _lcm_step(den, d, folded: list):
     """The factor taking den to lcm(den, d), or None if d divides den.  A
     den is an int (root) or a polynomial (generic); folded lists the dens
-    den is a multiple of, so a repeated one costs no gcd."""
+    den is a multiple of, so a repeated one costs no gcd, and lcm(1, d) = d
+    costs none either."""
     if d == den or d in folded:
         return None
     folded.append(d)
     if type(d) is int:
         grow = d // gcd(den, d)
         return None if grow == 1 else grow
+    if den == _ONE:
+        return d
     grow = _poly_divexact(d, _poly_gcd(den, d))
     return None if grow == _ONE else grow
 
@@ -632,7 +575,8 @@ def _contract(pairs, mode):
                 if grow is not None:
                     acc = _lmul({e: c for e, c in acc.items() if c}, grow)
                     den = _lmul(den, grow)
-                xs = _lmul(xs, _poly_divexact(den, d))
+                if d != den:
+                    xs = _lmul(xs, _poly_divexact(den, d))
             for e1, c1 in xs.items():
                 for e2, c2 in ys.items():
                     e = e1 + e2
@@ -641,7 +585,7 @@ def _contract(pairs, mode):
         if den == _ONE:
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
         return ScalarGeneric(num, den)
-    acc = [0] * (2 * _power_table(mode.r)[0] - 1)
+    acc = []                    # grown to the longest product, reduced once
     den = 1
     for x, y in pairs:
         xs, ys = x.coeffs, y.coeffs
@@ -653,13 +597,17 @@ def _contract(pairs, mode):
             if grow is not None:
                 acc = [c * grow for c in acc]
                 den *= grow
-            m = den // d
-            xs = [c * m for c in xs]
+            if d != den:
+                m = den // d
+                xs = [c * m for c in xs]
+        short = len(xs) + len(ys) - 1 - len(acc)
+        if short > 0:
+            acc += [0] * short
         for i, c in enumerate(xs):
             if c:
                 for j, e in enumerate(ys, i):
                     acc[j] += c * e
-    return ScalarCyclotomic(mode.r, acc, den)
+    return ScalarCyclotomic(mode, acc, den)
 
 
 def times_a_power(x, e: int):
@@ -671,7 +619,7 @@ def times_a_power(x, e: int):
         return ScalarGeneric(_lshift(x.num, e), x.den, _canonical=True)
     r = x.r
     cs = _cyclo_reduce([0] * (e % (4 * r)) + list(x.coeffs), r)
-    return ScalarCyclotomic(r, cs, x.den, _canonical=True)
+    return ScalarCyclotomic(x.mode, cs, x.den, _canonical=True)
 
 
 def clear_denominators(values, mode) -> list:
@@ -687,8 +635,8 @@ def clear_denominators(values, mode) -> list:
     if lcm == one:
         return values
     if mode.is_root:
-        return [ScalarCyclotomic(mode.r, [c * (lcm // v.den)
-                                          for c in v.coeffs], 1, _canonical=True)
+        return [ScalarCyclotomic(mode, [c * (lcm // v.den)
+                                        for c in v.coeffs], 1, _canonical=True)
                 for v in values]
     return [ScalarGeneric.from_laurent(_lmul(v.num,
                                              _poly_divexact(lcm, v.den)))
@@ -703,6 +651,12 @@ class Mode:
 
     is_root = False
     r: int | None = None
+
+    @cached_property
+    def signs(self) -> tuple:
+        """1 and -1 in this field, built once: the weights by which a sum
+        and a difference contract their two operands."""
+        return self.from_int(1), self.from_int(-1)
 
     def zero(self):
         return self.from_int(0)
@@ -750,34 +704,35 @@ class GenericMode(Mode):
 
 
 class RootMode(Mode):
-    """Scalars live in Q(zeta_{4r}), a specialized to a primitive 4r-th root."""
+    """Scalars live in Q(zeta_{4r}), a specialized to a primitive 4r-th root.
+    There is one instance per r, so modes compare and hash by identity."""
 
     is_root = True
 
-    def __init__(self, r: int):
+    @staticmethod
+    @cache
+    def __new__(cls, r: int):
         if r < 3:
             raise ValueError(f"root order r must be >= 3, got {r}")
-        self.r = r
+        mode = object.__new__(cls)
+        mode.r = r
+        return mode
 
     def from_int(self, n: int):
-        return ScalarCyclotomic.from_int(n, self.r)
+        return ScalarCyclotomic(self, (n,) if n else (), 1, _canonical=True)
 
     def a_power(self, e: int):
-        return ScalarCyclotomic.a_power(e, self.r)
+        e %= 4 * self.r
+        return ScalarCyclotomic(self, [0] * e + [1])
 
     def __repr__(self):
         return f"root:{self.r}"
 
     __str__ = __repr__
 
-    def __eq__(self, other):
-        return isinstance(other, RootMode) and other.r == self.r
-
-    def __hash__(self):
-        return hash(("root-mode", self.r))
-
 
 GENERIC = GenericMode()
+ScalarGeneric.mode = GENERIC    # every generic scalar is in Q(a)
 
 
 def parse_mode(text: str) -> Mode:

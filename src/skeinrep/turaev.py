@@ -93,8 +93,9 @@ def hat(g: TLMorphism, s, s_prime) -> HattedMorphism:
     # f_{s'} kills each term with a top cup inside one of its blocks: the
     # innermost such cup joins adjacent points i, i+1, so the term is e_i D'
     # and f_k e_i = 0
+    blocks = _block_index(s_prime)
     kept = {d: c for d, c in y.terms.items()
-            if not _arc_in_block(d, s_prime, top=True)}
+            if not _arc_in_block(d, blocks, top=True)}
     value = compose(jw_tensor(s_prime, mode),
                     TLMorphism(y.inputs, y.outputs, kept, mode))
     return HattedMorphism(s, s_prime, value)
@@ -110,19 +111,18 @@ def _block_index(s) -> list:
     return out
 
 
-def _arc_in_block(d: SimpleDiagram, s, top: bool) -> bool:
-    """Some arc joins two points of one block of s, on the top line of d
-    when top is true, else on its bottom line."""
+def _arc_in_block(d: SimpleDiagram, blocks: list, top: bool) -> bool:
+    """Some arc joins two points of one block (by the _block_index of the
+    object), on the top line of d when top is true, else on its bottom."""
     lo, hi = (d.inputs, len(d.match)) if top else (0, d.inputs)
-    blocks = _block_index(s)
     return any(lo <= p < q < hi and blocks[p - lo] == blocks[q - lo]
                for p, q in enumerate(d.match))
 
 
 def good_type(d: SimpleDiagram, s, s_prime) -> bool:
     """No arc inside a single source block or single target block."""
-    return not (_arc_in_block(d, s, top=False)
-                or _arc_in_block(d, s_prime, top=True))
+    return not (_arc_in_block(d, _block_index(s), top=False)
+                or _arc_in_block(d, _block_index(s_prime), top=True))
 
 
 def good_type_diagrams(s, s_prime) -> list:

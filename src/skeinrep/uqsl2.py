@@ -317,7 +317,14 @@ def generator_matrix(generator: str, rank: int, mode: Mode) -> RepMap:
 
 
 def elementary_morphisms(mode: Mode = GENERIC) -> dict:
-    """The structural maps b, d, alpha, c, theta on V (exact matrices)."""
+    """The structural maps b, d, alpha, c, theta on V (exact matrices), in a
+    fresh dict; the maps are built once per mode."""
+    return dict(_elementary_morphisms(mode))
+
+
+@cache
+def _elementary_morphisms(mode: Mode) -> dict:
+    # positional arguments only, so every spelling of a call shares one entry
     one = mode.one()
     q = mode.a_power(2)
     qinv = mode.a_power(-2)

@@ -7,8 +7,10 @@ matchings by direct recursive chord placement on the boundary circle,
 Jones-Wenzl projectors by the two-sided Wenzl recursion, quantum traces
 by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
-functor's linear extension by pairwise scalar products and sums, and the
-functor on a simple diagram by composing elementary cap and cup layers.
+functor's linear extension by pairwise scalar products and sums, the
+scalar operators and the elimination row update by per-field bodies that
+never enter the contraction kernel, and the functor on a simple diagram by
+composing elementary cap and cup layers.
 """
 
 import math
@@ -21,8 +23,8 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
 from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator
-from skeinrep.scalars import (GENERIC, ScalarGeneric, _lmul, _poly_divexact,
-                              _poly_gcd)
+from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
+                              _lmul, _poly_divexact, _poly_gcd)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import hom_basis, object_seq, seq_size
@@ -225,6 +227,82 @@ def input_order_elimination(rows, ncols: int, one) -> dict:
         kernel.append(v)
     return {"rank": len(pivots), "pivots": pivots,
             "rref": [el.rows[p] for p in pivots], "kernel": kernel}
+
+
+# the scalar operators one field at a time, pairwise, as the field classes
+# computed them before every sum and product went through scalars._contract;
+# an int operand takes the field of the other one
+
+def _ladd(f: dict, g: dict) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _same_field(x, y):
+    if isinstance(x, int):
+        x = y.mode.from_int(x)
+    if isinstance(y, int):
+        y = x.mode.from_int(y)
+    return x, y
+
+
+def pairwise_add(x, y):
+    x, y = _same_field(x, y)
+    if isinstance(x, ScalarGeneric):
+        if x.den == _ONE and y.den == _ONE:
+            return ScalarGeneric(_ladd(x.num, y.num), dict(_ONE),
+                                 _canonical=True)
+        num = _ladd(_lmul(x.num, y.den), _lmul(y.num, x.den))
+        return ScalarGeneric(num, _lmul(x.den, y.den))
+    n = max(len(x.coeffs), len(y.coeffs))
+    a = list(x.coeffs) + [0] * (n - len(x.coeffs))
+    b = list(y.coeffs) + [0] * (n - len(y.coeffs))
+    if x.den == y.den:
+        return ScalarCyclotomic(x.mode, [u + v for u, v in zip(a, b)], x.den)
+    return ScalarCyclotomic(x.mode, [u * y.den + v * x.den
+                                     for u, v in zip(a, b)], x.den * y.den)
+
+
+def pairwise_mul(x, y):
+    x, y = _same_field(x, y)
+    if isinstance(x, ScalarGeneric):
+        return ScalarGeneric(_lmul(x.num, y.num), _lmul(x.den, y.den))
+    if not x.coeffs or not y.coeffs:
+        return x.mode.from_int(0)
+    prod = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, ci in enumerate(x.coeffs):
+        for j, cj in enumerate(y.coeffs):
+            prod[i + j] += ci * cj
+    return ScalarCyclotomic(x.mode, prod, x.den * y.den)
+
+
+def pairwise_truediv(x, y):
+    x, y = _same_field(x, y)
+    if y.is_zero():
+        raise ZeroDivisionError("division by zero scalar")
+    if isinstance(x, ScalarGeneric):
+        return ScalarGeneric(_lmul(x.num, y.den), _lmul(x.den, y.num))
+    return pairwise_mul(x, y.inv())
+
+
+def pairwise_row_update(u, v, c):
+    """u - c*v entry by entry: one product, its negation and one sum."""
+    out = dict(u)
+    for col, x in v.items():
+        s = out.get(col)
+        p = -pairwise_mul(c, x)
+        s = p if s is None else pairwise_add(s, p)
+        if s.is_zero():
+            out.pop(col, None)
+        else:
+            out[col] = s
+    return out
 
 
 def scaled_denominator_clear(m):

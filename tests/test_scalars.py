@@ -3,10 +3,15 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (pairwise_add, pairwise_mul, pairwise_row_update,
+                     pairwise_truediv)
+from skeinrep.linalg import vec_sub_scaled
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
-                              ScalarGeneric, _contract, _cyclo_reduce, _lshift,
-                              cyclotomic_poly, format_scalar, parse_mode,
-                              parse_scalar, specialize, times_a_power)
+                              ScalarGeneric, _contract, _cyclo_reduce,
+                              _lcm_step, _lmul, _lshift, _poly_divexact,
+                              _poly_gcd, clear_denominators, cyclotomic_poly,
+                              format_scalar, parse_mode, parse_scalar,
+                              specialize, times_a_power)
 
 
 def test_generic_ring_relations():
@@ -192,7 +197,7 @@ def _deg(r):
 
 def _cyclo(r):
     # any integer list over any nonzero integer, reduced by the constructor
-    return st.builds(lambda cs, den: ScalarCyclotomic(r, cs, den),
+    return st.builds(lambda cs, den: ScalarCyclotomic(RootMode(r), cs, den),
                      st.lists(st.integers(-40, 40), max_size=2 * _deg(r) + 3),
                      st.integers(-12, 12).filter(bool))
 
@@ -332,3 +337,133 @@ def test_times_a_power_matches_multiply(mode, data):
         _assert_canonical(got, mode.r)
     else:
         assert got.den == x.den
+
+
+# ---------------------------------------------------------------------------
+# the kernel route: every operator and the row update go through _contract,
+# checked against the pairwise per-field bodies in oracles.py
+
+_MODES = [GENERIC] + [RootMode(r) for r in range(3, 9)]
+
+
+def _draw_scalar(mode):
+    return _cyclo(mode.r) if mode.is_root else _generic()
+
+
+def _assert_field_canonical(z, mode, sympy, a):
+    assert z.mode is mode
+    if mode.is_root:
+        _assert_canonical(z, mode.r)
+    else:
+        _assert_generic_canonical(z, sympy, a)
+
+
+def _same_form(got, want):
+    # equal as values and in representation: scalars compare structurally
+    assert type(got) is type(want) and got == want
+    if isinstance(got, ScalarGeneric):
+        assert (got.num, got.den) == (want.num, want.den)
+    else:
+        assert (got.coeffs, got.den) == (want.coeffs, want.den)
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operators_match_pairwise_oracles(mode, data):
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    x = data.draw(_draw_scalar(mode))
+    y = data.draw(st.one_of(_draw_scalar(mode), st.just(mode.zero()),
+                            st.just(x), st.just(-x)))
+    n = data.draw(st.integers(-5, 5))
+    cases = [(x + y, pairwise_add(x, y)), (y + x, pairwise_add(y, x)),
+             (x - y, pairwise_add(x, -y)), (x * y, pairwise_mul(x, y)),
+             (x + n, pairwise_add(x, n)), (n + x, pairwise_add(n, x)),
+             (x - n, pairwise_add(x, -n)), (n - x, pairwise_add(n, -x)),
+             (x * n, pairwise_mul(x, n)), (n * x, pairwise_mul(n, x))]
+    for div, num in ((x, y), (x, n), (n, x)):
+        den = num if not isinstance(num, int) else mode.from_int(num)
+        if den.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                div / num
+            with pytest.raises(ZeroDivisionError):
+                pairwise_truediv(div, num)
+        else:
+            cases.append((div / num, pairwise_truediv(div, num)))
+    for got, want in cases:
+        _same_form(got, want)
+        _assert_field_canonical(got, mode, sympy, a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=_generic())
+def test_generic_inv_swaps_num_and_den(x):
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    _same_form(x.inv(), ScalarGeneric(x.den, x.num))
+    assert x.inv().mode is GENERIC
+
+
+def test_mixed_root_orders_refused_by_every_operator():
+    x, y = RootMode(5).a_power(1), RootMode(7).a_power(1)
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: y + x, lambda: y / x):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            op()
+
+
+def test_scalars_know_their_field():
+    g = ScalarGeneric.a_power(1) + 1
+    assert g.mode is GENERIC and (g / 3).mode is GENERIC
+    assert GENERIC.one().mode is GENERIC
+    for r in range(3, 9):
+        mode = RootMode(r)
+        assert mode is RootMode(r) and parse_mode(f"root:{r}") is mode
+        x = ScalarCyclotomic.a_power(1, r) + 1
+        for z in (x, x * x, x - 2, 1 / x, -x, x.inv(), mode.zero(),
+                  ScalarCyclotomic.from_int(3, r), specialize(g, r),
+                  times_a_power(x, 3)):
+            assert z.mode is mode and z.r == r
+    assert RootMode(5) is not RootMode(7)
+    with pytest.raises(ValueError):
+        RootMode(2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(dens=st.lists(st.sampled_from(_DENS), max_size=6))
+def test_lcm_step_gives_the_least_common_multiple(dens):
+    den, folded, want = {0: 1}, [], {0: 1}
+    for d in dens:
+        grow = _lcm_step(den, d, folded)
+        if grow is not None:
+            den = _lmul(den, grow)
+        want = _poly_divexact(_lmul(want, d), _poly_gcd(want, d))
+    assert den == want
+    # so clear_denominators scales by the lcm itself, not a multiple of it
+    values = [ScalarGeneric({0: 1}, d) for d in dens]
+    assert clear_denominators(values, GENERIC) == \
+        [ScalarGeneric.from_laurent(_poly_divexact(want, d)) for d in dens]
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_row_update_matches_pairwise_oracle(mode, data):
+    cols = st.integers(0, 5)
+    u = data.draw(st.dictionaries(cols, _draw_scalar(mode), max_size=4))
+    v = data.draw(st.dictionaries(cols, _draw_scalar(mode), max_size=4))
+    u = {j: s for j, s in u.items() if not s.is_zero()}
+    v = {j: s for j, s in v.items() if not s.is_zero()}
+    c = data.draw(_draw_scalar(mode).filter(lambda s: not s.is_zero()))
+    if data.draw(st.booleans()):
+        # u = c*v on the shared columns, so those entries cancel
+        u.update(pairwise_row_update({}, v, -c))
+    got = vec_sub_scaled(u, v, c)
+    want = pairwise_row_update(u, v, c)
+    assert got.keys() == want.keys()
+    for j in got:
+        _same_form(got[j], want[j])
+        assert got[j].mode is mode

@@ -54,7 +54,9 @@ def test_d_nmj_shapes():
     d = d_nmj(2, 2, 1)
     assert d.inputs == 4 and d.outputs == 2
     assert d.match[1] == 2  # innermost cap joins the blocks
-    assert good_type(d, (2, 2), (2,)) is False or True  # shape only here
+    # the cap joins points of the two blocks of (2, 2), but one block of (4,)
+    assert good_type(d, (2, 2), (2,)) is True
+    assert good_type(d, (4,), (2,)) is False
     with pytest.raises(ValueError):
         d_nmj(2, 2, 3)
     assert d_nmj(1, 1, 0).match == (2, 3, 0, 1)

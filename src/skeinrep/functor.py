@@ -129,7 +129,9 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     f_s (those of F_object); X -> X C_s is injective on maps with
     X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
     Both projectors enter as lambda f (_cleared_projector), which scales
-    every compression alike.  Entries are exact, so the rank is exact.
+    every compression alike.  One exact RREF gives both: its columns are
+    the compressions, then the images f_t F(h) C_s; its pivots are the kept
+    rows, and its row with pivot u holds every image's coordinate on u.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
@@ -138,21 +140,15 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     ps = RepMap(fs.source_rank, fs.target_rank,
                 {(i, j): v for (i, j), v in fs.entries.items() if j in keep},
                 mode)
-    elim = linalg.Eliminator(track=True)
-    kept = []
-    for u, h in enumerate(rep_hom_basis(seq_size(s), seq_size(t), mode)):
-        vec = pt.compose(h).compose(ps).entries
-        if vec and elim.add(vec, tag=u) is not None:
-            kept.append(u)
-    matrix = [[] for _ in kept]
+    maps = rep_hom_basis(seq_size(s), seq_size(t), mode)
+    n = len(maps)
+    maps = maps + [F_diagram(h.value) for h in hom_basis(s, t, mode)]
+    rref = linalg.rref_rows(linalg.transpose(
+        pt.compose(h).compose(ps).entries for h in maps))
+    assert all(min(row) < n for row in rref), \
+        "functor image escaped the intertwiner span"
     zero = mode.zero()
-    for h in hom_basis(s, t, mode):
-        vec = pt.compose(F_diagram(h.value)).compose(ps).entries
-        coords = elim.coordinates(vec)
-        assert coords is not None, "functor image escaped the intertwiner span"
-        for row, u in zip(matrix, kept):
-            row.append(coords.get(u, zero))
-    return matrix
+    return [[row.get(j, zero) for j in range(n, len(maps))] for row in rref]
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,11 @@ class Eliminator:
     """Incremental RREF accumulator.
 
     Stored rows have pivot coefficient one, are fully inter-reduced, and are
-    keyed by pivot column.  With ``track=True`` each stored row carries the
-    combination of originally added vectors that produced it, so membership
-    queries can return coordinates.
+    keyed by pivot column.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.rows: dict = {}  # pivot column -> vec
-        self.augs: dict = {}  # pivot column -> aug dict (when tracking)
-        self.track = track
-        self._count = 0  # vectors added so far (used as default aug tags)
 
     @property
     def rank(self) -> int:
@@ -66,73 +61,41 @@ class Eliminator:
     def pivots(self) -> list:
         return sorted(self.rows)
 
-    def reduce(self, vec: Vec, aug: Vec | None = None):
-        """Fully reduce a vector against the stored rows.
-
-        Returns the residual, or (residual, aug_residual) when tracking.
-        """
+    def reduce(self, vec: Vec) -> Vec:
+        """The residual of a vector fully reduced against the stored rows."""
         v = dict(vec)
-        a = dict(aug) if aug is not None else ({} if self.track else None)
         for p in sorted(self.rows):
             c = v.get(p)
             if c is not None:
                 v = vec_sub_scaled(v, self.rows[p], c)
-                if self.track:
-                    a = vec_sub_scaled(a, self.augs[p], c)
-        if self.track:
-            return v, a
         return v
 
-    def add(self, vec: Vec, tag=None):
+    def add(self, vec: Vec):
         """Add a vector; returns its pivot column, or None if dependent."""
-        if self.track:
-            if tag is None:
-                tag = self._count
-            one = None
-            for x in vec.values():
-                one = x / x
-                break
-            aug = {tag: one} if one is not None else {}
-            v, a = self.reduce(vec, aug)
-        else:
-            v = self.reduce(vec)
-            a = None
-        self._count += 1
+        v = self.reduce(vec)
         if not v:
             return None
         p = min(v)
-        cinv = v[p].inv()
-        v = vec_scale(v, cinv)
-        if self.track:
-            a = vec_scale(a, cinv)
+        v = vec_scale(v, v[p].inv())
         # back-substitute into earlier rows
         for p2, row in list(self.rows.items()):
             c = row.get(p)
             if c is not None:
                 self.rows[p2] = vec_sub_scaled(row, v, c)
-                if self.track:
-                    self.augs[p2] = vec_sub_scaled(self.augs[p2], a, c)
         self.rows[p] = v
-        if self.track:
-            self.augs[p] = a
         return p
 
     def contains(self, vec: Vec) -> bool:
-        if self.track:
-            return not self.reduce(vec)[0]
         return not self.reduce(vec)
 
     def coordinates(self, vec: Vec) -> Vec | None:
-        """Coordinates of vec in the added vectors (by tag), or None.
-
-        Requires track=True.  An empty dict means vec is zero.
-        """
-        if not self.track:
-            raise ValueError("Eliminator was not built with track=True")
-        v, a = self.reduce(vec)
-        if v:
+        """Coefficients of vec against the stored rows, keyed by pivot
+        column, or None if vec is outside their span.  Each row is one at
+        its own pivot and zero at every other, so they are vec's entries at
+        the pivots."""
+        if self.reduce(vec):
             return None
-        return {t: -c for t, c in a.items()}
+        return {p: c for p, c in vec.items() if p in self.rows}
 
 
 def _reduced(rows) -> Eliminator:
@@ -175,11 +138,16 @@ def kernel_basis(rows, ncols: int, one) -> list:
     return out
 
 
+def transpose(vectors) -> list:
+    """The nonzero rows of the matrix whose columns are the vectors."""
+    rows: dict = {}
+    for j, v in enumerate(vectors):
+        for i, x in v.items():
+            rows.setdefault(i, {})[j] = x
+    return list(rows.values())
+
+
 def independent_subset(vectors) -> list:
-    """Indices of the greedy (first independent) subset, in order."""
-    el = Eliminator()
-    out = []
-    for i, v in enumerate(vectors):
-        if el.add(v) is not None:
-            out.append(i)
-    return out
+    """Indices of the greedy (first independent) subset, in order: the
+    column rank profile of the matrix whose columns are the vectors."""
+    return column_rank_profile(transpose(vectors))

@@ -414,19 +414,21 @@ class ScalarCyclotomic:
                                 self.den, _canonical=True)
 
     def inv(self) -> "ScalarCyclotomic":
+        # self = y / den, y in Z[a]; y times its conjugates a -> a^k, k > 1
+        # prime to 4r, is the integer N(y), so 1/self = den * those / N(y)
         if not self.coeffs:
             raise ZeroDivisionError("division by zero scalar")
-        phi = cyclotomic_poly(4 * self.r)
-        # extended Euclid over Q[x]; rare call, Fractions are fine here
-        u, g = _xgcd_mod(list(self.coeffs), phi)
-        # self/den * (den * u / g) = 1
-        den_lcm = 1
-        for c in u:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        gnum, gden = g.numerator, g.denominator
-        cs = [c.numerator * (den_lcm // c.denominator) * self.den * gden
-              for c in u]
-        return ScalarCyclotomic(self.mode, cs, den_lcm * gnum)
+        mode, order = self.mode, 4 * self.r
+        p = mode.signs[0]
+        for k in range(3, order, 2):
+            if gcd(k, order) == 1:
+                cs = [0] * order
+                for i, c in enumerate(self.coeffs):
+                    cs[i * k % order] += c
+                p = _contract(((p, ScalarCyclotomic(mode, cs)),), mode)
+        y = ScalarCyclotomic(mode, self.coeffs, 1, _canonical=True)
+        (norm,) = _contract(((y, p),), mode).coeffs
+        return ScalarCyclotomic(mode, [c * self.den for c in p.coeffs], norm)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -480,38 +482,6 @@ def _cyclo_reduce(cs: list, r: int) -> list:
     while cs and cs[-1] == 0:
         cs.pop()
     return cs
-
-
-def _xgcd_mod(f: list, phi: list):
-    """Return (u, g) with u*f = g (mod phi), g a nonzero rational."""
-    r0 = [Fraction(c) for c in phi]
-    r1 = [Fraction(c) for c in f]
-    s0: list = [Fraction(0)]
-    s1: list = [Fraction(1)]
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    while deg(r1) > 0:
-        d0, d1 = deg(r0), deg(r1)
-        while d0 >= d1 >= 0:
-            c = r0[d0] / r1[d1]
-            for j in range(d1 + 1):
-                r0[d0 - d1 + j] -= c * r1[j]
-            for j in range(len(s1)):
-                while len(s0) < d0 - d1 + j + 1:
-                    s0.append(Fraction(0))
-                s0[d0 - d1 + j] -= c * s1[j]
-            d0 = deg(r0)
-        r0, r1 = r1, r0
-        s0, s1 = s1, s0
-    g = r1[deg(r1)]
-    if g == 0:
-        raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-    return s1, g
 
 
 def specialize(x: ScalarGeneric, r: int) -> ScalarCyclotomic:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cache
 
 from .scalars import GENERIC, Mode, PoleError, _contract
-from .linalg import Eliminator, kernel_basis
+from .linalg import kernel_basis, rref_rows
 
 
 def mask_weight(mask: int, n: int) -> int:
@@ -497,11 +497,13 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
     every component of lower highest weight.
 
     Built from highest-weight bases and their Y-orbits; independent of any
-    diagram-side computation.
+    diagram-side computation.  With C the matrix of orbit columns, one
+    exact RREF takes [C | I] to [I | C^-1]; the projector is C restricted
+    to the top orbits times the matching rows of C^-1.
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    mode_one = mode.one()
+    size = 1 << n
     cols: list = []
     top_count = 0
     for k in range(n, -1, -2):
@@ -514,20 +516,21 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
             top_count = len(cols)
         if k == 0:
             break
-    if len(cols) != 1 << n:
+    if len(cols) != size:
         raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
-    elim = Eliminator(track=True)
-    for idx, col in enumerate(cols):
-        elim.add(col.components, tag=idx)
+    rows = [{size + i: mode.one()} for i in range(size)]
+    for t, col in enumerate(cols):
+        for i, x in col.components.items():
+            rows[i][t] = x
+    inverse = rref_rows(rows)
+    # [C | I] has rank size, so C is invertible iff its pivots are 0..size-1
+    if min(inverse[-1]) >= size:
+        raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
     pairs: dict = {}
-    for j in range(1 << n):
-        coords = elim.coordinates({j: mode_one})
-        if coords is None:
-            raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
-        for t, c in coords.items():
-            if t >= top_count:
-                continue
-            for i, x in cols[t].components.items():
-                pairs.setdefault((i, j), []).append((c, x))
+    for t in range(top_count):
+        for j, c in inverse[t].items():
+            if j >= size:
+                for i, x in cols[t].components.items():
+                    pairs.setdefault((i, j - size), []).append((c, x))
     return RepMap(n, n, {key: _contract(ps, mode) for key, ps in pairs.items()},
                   mode)

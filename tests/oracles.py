@@ -14,17 +14,19 @@ composing elementary cap and cup layers.
 """
 
 import math
+from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, gcd
 
 from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
 from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
                               rep_coev, rep_ev, rep_twist)
-from skeinrep.linalg import Eliminator
+from skeinrep.linalg import Eliminator, vec_scale, vec_sub_scaled
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
-                              _lmul, _poly_divexact, _poly_gcd)
+                              _lmul, _poly_divexact, _poly_gcd,
+                              cyclotomic_poly)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import hom_basis, object_seq, seq_size
@@ -288,7 +290,54 @@ def pairwise_truediv(x, y):
         raise ZeroDivisionError("division by zero scalar")
     if isinstance(x, ScalarGeneric):
         return ScalarGeneric(_lmul(x.num, y.den), _lmul(x.den, y.num))
-    return pairwise_mul(x, y.inv())
+    return pairwise_mul(x, xgcd_inverse(y))
+
+
+def _xgcd_mod(f: list, phi: list):
+    """Return (u, g) with u*f = g (mod phi), g a nonzero rational."""
+    r0 = [Fraction(c) for c in phi]
+    r1 = [Fraction(c) for c in f]
+    s0: list = [Fraction(0)]
+    s1: list = [Fraction(1)]
+
+    def deg(p):
+        for i in range(len(p) - 1, -1, -1):
+            if p[i]:
+                return i
+        return -1
+
+    while deg(r1) > 0:
+        d0, d1 = deg(r0), deg(r1)
+        while d0 >= d1 >= 0:
+            c = r0[d0] / r1[d1]
+            for j in range(d1 + 1):
+                r0[d0 - d1 + j] -= c * r1[j]
+            for j in range(len(s1)):
+                while len(s0) < d0 - d1 + j + 1:
+                    s0.append(Fraction(0))
+                s0[d0 - d1 + j] -= c * s1[j]
+            d0 = deg(r0)
+        r0, r1 = r1, r0
+        s0, s1 = s1, s0
+    g = r1[deg(r1)]
+    if g == 0:
+        raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
+    return s1, g
+
+
+def xgcd_inverse(x):
+    """Inverse in Q(zeta_4r) by the extended Euclidean algorithm over
+    Fraction polynomials modulo Phi_4r."""
+    if not x.coeffs:
+        raise ZeroDivisionError("division by zero scalar")
+    u, g = _xgcd_mod(list(x.coeffs), cyclotomic_poly(4 * x.r))
+    # x/den * (den * u / g) = 1
+    den_lcm = 1
+    for c in u:
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    cs = [c.numerator * (den_lcm // c.denominator) * x.den * g.denominator
+          for c in u]
+    return ScalarCyclotomic(x.mode, cs, den_lcm * g.numerator)
 
 
 def pairwise_row_update(u, v, c):
@@ -436,6 +485,49 @@ def pairwise_linear_extension(f):
     return total
 
 
+class TrackedEliminator:
+    """Input-order elimination in which each stored row carries the
+    combination of added vectors (by tag) that produced it, so a member's
+    coordinates come out of its own reduction, not out of an RREF."""
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot column -> vec
+        self.augs: dict = {}  # pivot column -> combination of tags
+
+    def _reduce(self, vec, aug):
+        v, a = dict(vec), dict(aug)
+        for p in sorted(self.rows):
+            c = v.get(p)
+            if c is not None:
+                v = vec_sub_scaled(v, self.rows[p], c)
+                a = vec_sub_scaled(a, self.augs[p], c)
+        return v, a
+
+    def add(self, vec, tag):
+        """Add a vector; returns its pivot column, or None if dependent."""
+        aug = {tag: x / x for x in list(vec.values())[:1]}
+        v, a = self._reduce(vec, aug)
+        if not v:
+            return None
+        p = min(v)
+        cinv = v[p].inv()
+        v, a = vec_scale(v, cinv), vec_scale(a, cinv)
+        for p2, row in list(self.rows.items()):
+            c = row.get(p)
+            if c is not None:
+                self.rows[p2] = vec_sub_scaled(row, v, c)
+                self.augs[p2] = vec_sub_scaled(self.augs[p2], a, c)
+        self.rows[p], self.augs[p] = v, a
+        return p
+
+    def coordinates(self, vec):
+        """Coordinates of vec in the added vectors (by tag), or None."""
+        v, a = self._reduce(vec, {})
+        if v:
+            return None
+        return {t: -c for t, c in a.items()}
+
+
 def full_projector_hom_matrix(s, t, mode=GENERIC):
     """F_hom_matrix with every compression taken as f_t h f_s on the full
     projectors, rows kept in canonical order."""
@@ -443,7 +535,7 @@ def full_projector_hom_matrix(s, t, mode=GENERIC):
     t = object_seq(t, mode)
     ps = F_object(s, mode)["projector"]
     pt = F_object(t, mode)["projector"]
-    elim = Eliminator(track=True)
+    elim = TrackedEliminator()
     kept = []
     for u, h in enumerate(rep_hom_basis(seq_size(s), seq_size(t), mode)):
         vec = pt.compose(h).compose(ps).entries

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from skeinrep.cli import main
+from skeinrep.cli import _override_entry, main
 from skeinrep.diagrams import bracket, parse_word
 from skeinrep.scalars import RootMode, format_scalar
 
@@ -217,6 +217,20 @@ def test_usage_and_parse_errors_exit_1():
         assert (code, out) == (1, ""), name
         assert err.startswith(f"error: {DATA / name}: "), name
         assert fragment in err and err.count("\n") == 1, name
+
+
+def test_root_override_cancels_or_refuses_a_pole(tmp_path):
+    phi12 = "a^4 - a^2 + 1"     # Phi_12, zero at a primitive 12th root
+    assert _override_entry(f"{phi12} / {phi12}", RootMode(3)) == 1
+    override = tmp_path / "pole.json"
+    override.write_text(json.dumps({
+        "source": [1, 1], "target": [1, 1], "mode": "root:3",
+        "matrix": [[f"1 / {phi12}", "0"], ["0", "1"]]}))
+    code, out, err = run_cli("verify", DATA / "pairs.batch",
+                             "--gram-override", override)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {override}: matrix row 1, column 1: denominator "
+                   f"{phi12} vanishes at a primitive 12-th root of unity\n")
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),

@@ -195,9 +195,9 @@ def test_object_image_basis():
             expected *= n + 1
         assert len(out["basis"]) == expected
         elim = linalg.Eliminator()
-        for i, v in enumerate(out["basis"]):
+        for v in out["basis"]:
             assert out["projector"].apply(v) == v
-            assert elim.add(dict(v.components), tag=i) is not None
+            assert elim.add(dict(v.components)) is not None
     # color zero is the unit and drops out
     assert len(F_object((0, 1), m)["basis"]) == 2
     # the basis is the first independent columns of the projector, taken

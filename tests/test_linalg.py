@@ -70,22 +70,29 @@ def test_kernel_basis():
 def test_eliminator_coordinates():
     m = GENERIC
     a = m.a_power(1)
-    elim = linalg.Eliminator(track=True)
+    elim = linalg.Eliminator()
     v0 = {0: m.one(), 1: a}
     v1 = {1: m.one(), 2: a}
-    assert elim.add(v0, tag="u") == 0
-    assert elim.add(v1, tag="v") == 1
-    # a dependent vector is rejected and its coordinates recovered
+    assert elim.add(v0) == 0
+    assert elim.add(v1) == 1
+    # a dependent vector is rejected; its coordinates are against the
+    # stored RREF rows, keyed by pivot column
     w = {0: m.from_int(2), 1: a * m.from_int(2) + a ** 3,
          2: a ** 4}
-    assert elim.add(w, tag="w") is None
+    assert elim.add(w) is None
     coords = elim.coordinates(w)
-    assert coords == {"u": m.from_int(2), "v": a ** 3}
+    assert coords == {0: m.from_int(2), 1: a * m.from_int(2) + a ** 3}
+    rebuilt = {}
+    for p, c in coords.items():
+        rebuilt = linalg.vec_sub_scaled(rebuilt, elim.rows[p], -c)
+    assert rebuilt == w
+    assert elim.coordinates({}) == {}
     assert elim.contains(w)
     assert not elim.contains({3: m.one()})
     assert elim.rank == 2
     assert elim.pivots() == [0, 1]
     assert elim.coordinates({3: m.one()}) is None
+    assert elim.coordinates({0: m.one()}) is None
 
 
 def test_independent_subset():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (pairwise_add, pairwise_mul, pairwise_row_update,
-                     pairwise_truediv)
+                     pairwise_truediv, xgcd_inverse)
 from skeinrep.linalg import vec_sub_scaled
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
                               ScalarGeneric, _contract, _cyclo_reduce,
@@ -268,7 +268,8 @@ def _to_sympy(z, a):
     if isinstance(z, ScalarGeneric):
         return (sum(c * a ** e for e, c in z.num.items())
                 / sum(c * a ** e for e, c in z.den.items()))
-    return sum(c * a ** e for e, c in enumerate(z.coeffs)) / z.den
+    # start from sympy's zero: an empty residue would give 0 / den, a float
+    return sum((c * a ** e for e, c in enumerate(z.coeffs)), 0 * a) / z.den
 
 
 def _assert_generic_canonical(z, sympy, a):
@@ -405,6 +406,59 @@ def test_generic_inv_swaps_num_and_den(x):
         return
     _same_form(x.inv(), ScalarGeneric(x.den, x.num))
     assert x.inv().mode is GENERIC
+
+
+@st.composite
+def _invertible_candidate(draw, r):
+    # units +-a^e, quantum integers [k] with k < r, Phi_m(a) for m a proper
+    # divisor of 4r (zero at a = zeta^(4r/m), a root no Galois conjugate
+    # reaches), or a dense residue over a denominator > 1 (zero only when
+    # every coefficient is)
+    mode = RootMode(r)
+    kind = draw(st.sampled_from(["unit", "quantum", "factor", "dense"]))
+    if kind == "unit":
+        return mode.a_power(draw(st.integers(-4 * r, 4 * r))) \
+            * draw(st.sampled_from([1, -1]))
+    if kind == "quantum":
+        return mode.quantum_int(draw(st.integers(1, r - 1)))
+    if kind == "factor":
+        m = draw(st.sampled_from([m for m in range(1, 4 * r) if 4 * r % m == 0]))
+        return ScalarCyclotomic(mode, cyclotomic_poly(m))
+    cs = draw(st.lists(st.integers(-40, 40), min_size=_deg(r),
+                       max_size=_deg(r)))
+    return ScalarCyclotomic(mode, cs, draw(st.integers(2, 12)))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 19, 20])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_inv_matches_euclid_oracle(r, data):
+    x = data.draw(_invertible_candidate(r))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    _same_form(x.inv(), xgcd_inverse(x))
+    assert (x * x.inv()).is_one()
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 19, 20])
+def test_cyclotomic_inv_of_every_cyclotomic_factor(r):
+    # Phi_m(a) vanishes at a = zeta^(4r/m); an inverse that also took the
+    # maps a -> a^k with k not prime to 4r would divide by zero here
+    mode = RootMode(r)
+    for m in range(1, 4 * r):
+        if 4 * r % m == 0:
+            x = ScalarCyclotomic(mode, cyclotomic_poly(m))
+            _same_form(x.inv(), xgcd_inverse(x))
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6, 7, 8, 19, 20])
+def test_cyclotomic_inv_of_zero_raises(r):
+    with pytest.raises(ZeroDivisionError):
+        RootMode(r).zero().inv()
+    with pytest.raises(ZeroDivisionError):
+        xgcd_inverse(RootMode(r).zero())
 
 
 def test_mixed_root_orders_refused_by_every_operator():

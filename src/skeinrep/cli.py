@@ -14,8 +14,8 @@ import sys
 
 from . import linalg
 from .diagrams import WordError, bracket, parse_word
-from .scalars import (Mode, format_scalar, parse_mode, parse_scalar,
-                      specialize)
+from .scalars import (Mode, format_scalar, parse_laurent, parse_mode,
+                      parse_scalar, specialize)
 from .tl_category import jones_wenzl
 from .turaev import gram_matrix, good_type_diagrams, object_seq
 from .functor import FunctorReport, verify_equivalence
@@ -33,6 +33,15 @@ MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair
 MAX_ROOT = 20       # largest r of a root:<r> mode; RootMode has no limit
+# A Gram override entry is reduced over Q(a) before anything else, at a
+# cost set by its degrees and digits, not by the pair: a 15 KB dense entry
+# took 86 s, and a^20000 + 3*a^7 + 1 / a^19999 + 2*a^5 + 1 6.8 s.  Over
+# every admitted pair, the longest true Gram entry has 160 characters
+# (2,2,2,2,2 -> 0 at root:19) and the widest spans 36 powers of a in its
+# numerator (3,3,3,1 -> 0, generic).  At the limits below an entry takes
+# at most 8 ms (root:19), so a 42 x 42 override loads in seconds.
+MAX_ENTRY_CHARS = 400   # longest Gram override entry, in characters
+MAX_ENTRY_SPAN = 72     # largest max - min power of a in its num or den
 
 
 class UsageError(Exception):
@@ -158,8 +167,18 @@ def _override_colors(value, mode: Mode) -> tuple:
 
 
 def _override_entry(value, mode: Mode):
+    """The scalar an override entry names, refused past the entry limits
+    before any polynomial arithmetic."""
     if not isinstance(value, str):
         raise ValueError("expected a scalar string")
+    if len(value) > MAX_ENTRY_CHARS:
+        raise ValueError(f"entry has {len(value)} characters, above the "
+                         f"limit of {MAX_ENTRY_CHARS}")
+    for part in value.split(" / ", 1):
+        powers = parse_laurent(part)[0]
+        if powers and max(powers) - min(powers) > MAX_ENTRY_SPAN:
+            raise ValueError(f"powers of a span {max(powers) - min(powers)}, "
+                             f"above the limit of {MAX_ENTRY_SPAN}")
     x = parse_scalar(value)
     return specialize(x, mode.r) if mode.is_root else x
 

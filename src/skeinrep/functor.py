@@ -10,7 +10,10 @@ Equivalence verification compares three numbers per object pair: the size
 of the diagram-side hom basis (generic) or its Gram rank (root of unity),
 the rank of the representation-side quantum-trace Gram matrix, and the
 rank of the pairing between functor images and intertwiners.  The functor
-is an equivalence on the pair exactly when all three agree.
+is an equivalence on the pair exactly when all three agree.  Each image
+is itself an intertwiner, so the pairing is its coordinates against the
+intertwiner basis times the Gram matrix, with no composition or trace of
+its own.
 """
 
 from functools import cache, reduce
@@ -23,7 +26,7 @@ from .tl_category import jones_wenzl
 from .turaev import good_type_diagrams, hom_basis, object_seq, \
     purified_hom_dim, seq_size
 from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
-    mask_weight, rep_hom_basis
+    mask_weight, rep_hom_basis, rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +132,12 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     f_s (those of F_object); X -> X C_s is injective on maps with
     X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
     Both projectors enter as lambda f (_cleared_projector), which scales
-    every compression alike.  One exact RREF gives both: its columns are
-    the compressions, then the images f_t F(h) C_s; its pivots are the kept
-    rows, and its row with pivot u holds every image's coordinate on u.
+    every compression alike.  One exact RREF of the compressions gives the
+    kept rows, its pivots, and in its row with pivot u the coefficient on
+    compression u of every compression.  Each image F(h) is the sum of the
+    intertwiners weighted by its coordinates (rep_hom_coordinates, which
+    raises ValueError for an image outside their span), so its coordinate
+    on u is one contraction of that row against them.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
@@ -140,15 +146,13 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     ps = RepMap(fs.source_rank, fs.target_rank,
                 {(i, j): v for (i, j), v in fs.entries.items() if j in keep},
                 mode)
-    maps = rep_hom_basis(seq_size(s), seq_size(t), mode)
-    n = len(maps)
-    maps = maps + [F_diagram(h.value) for h in hom_basis(s, t, mode)]
+    coords = [rep_hom_coordinates(F_diagram(h.value))
+              for h in hom_basis(s, t, mode)]
     rref = linalg.rref_rows(linalg.transpose(
-        pt.compose(h).compose(ps).entries for h in maps))
-    assert all(min(row) < n for row in rref), \
-        "functor image escaped the intertwiner span"
-    zero = mode.zero()
-    return [[row.get(j, zero) for j in range(n, len(maps))] for row in rref]
+        pt.compose(h).compose(ps).entries
+        for h in rep_hom_basis(seq_size(s), seq_size(t), mode)))
+    return [[_contract([(x, c[j]) for j, x in row.items()], mode)
+             for c in coords] for row in rref]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +339,26 @@ def _int_W(k: int, l: int, mode: Mode) -> list:
 
 
 @cache
-def _kproj(t: tuple, mode: Mode) -> RepMap:
-    return _k_rows(_cleared_projector(t, mode))
+def _inverse_clearings(k: int, l: int, mode: Mode) -> list:
+    # 1 / lambda_u for the cleared maps h'_u = lambda_u h_u of _int_W:
+    # lambda_u is h'_u's own coordinate on h_u
+    return [rep_hom_coordinates(h)[u].inv()
+            for u, h in enumerate(_int_W(k, l, mode))]
+
+
+@cache
+def _image_coordinates(d: SimpleDiagram, mode: Mode) -> dict:
+    # F(d) = sum_u c_u h'_u over the cleared maps of _int_W, nonzero c_u
+    # keyed by u
+    inverse = _inverse_clearings(d.inputs, d.outputs, mode)
+    return {u: c * inverse[u]
+            for u, c in enumerate(rep_hom_coordinates(_simple_rep(d, mode)))
+            if not c.is_zero()}
 
 
 @cache
 def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
-    # A_u = K pi_t h_u for h_u spanning Hom(V^k, V^|t|)
+    # A_u = K pi_t h_u' for h_u' spanning Hom(V^k, V^|t|)
     return [_k_rows(b) for b in _pairing_B(t, k, mode)]
 
 
@@ -352,10 +369,21 @@ def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
     return [ps.compose(h) for h in _int_W(l, seq_size(s), mode)]
 
 
-def _exact_rank(matrix: list) -> int:
-    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()}
-            for row in matrix]
-    return linalg.rank(rows)
+def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:
+    """The pairing tr(K pi_t F(d) B_v) of each diagram d with the columns v
+    of the Gram matrix gram[u][v] = tr(A_u B_v), as sparse rows: with
+    F(d) = sum_u c_u h_u', K pi_t F(d) = sum_u c_u A_u, so each entry is
+    sum_u c_u gram[u][v], one contraction."""
+    rows = []
+    for d in diagrams:
+        coords = _image_coordinates(d, mode)
+        row = {}
+        for v in columns:
+            x = _contract([(c, gram[u][v]) for u, c in coords.items()], mode)
+            if not x.is_zero():
+                row[v] = x
+        rows.append(row)
+    return rows
 
 
 def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
@@ -367,20 +395,24 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     basis and the intertwiner space.  Root mode: the diagram side also
     passes to its Gram rank, so all three numbers live in the purified
     categories.  The verdict is iso exactly when the three agree.
+
+    The Gram matrix is gram[u][v] = tr(A_u B_v).  The pairing of an image
+    F(d) = sum_u c_u h_u' is sum_u c_u gram[u][v] (_pairing_rows), and
+    every Gram column is a combination of the pivot columns that the
+    Gram rank's elimination finds, so the pairing's rank is read on those
+    columns alone.  A functor image outside the intertwiner span raises
+    ValueError.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
     A = _pairing_A(t, seq_size(s), mode)
     B = _pairing_B(s, seq_size(t), mode)
     gram = [[_sparse_trace(au, bv) for bv in B] for au in A]
-    dim_rep = _exact_rank(gram)
+    pivots = linalg.column_rank_profile(
+        {v: x for v, x in enumerate(row) if not x.is_zero()} for row in gram)
+    dim_rep = len(pivots)
     diagrams = good_type_diagrams(s, t)
-    kp = _kproj(t, mode)
-    pairing = []
-    for d in diagrams:
-        td = kp.compose(_simple_rep(d, mode))
-        pairing.append([_sparse_trace(td, bv) for bv in B])
-    matrix_rank = _exact_rank(pairing)
+    matrix_rank = linalg.rank(_pairing_rows(diagrams, gram, pivots, mode))
     if mode.is_root:
         dim_diag = purified_hom_dim(s, t, mode)
     else:

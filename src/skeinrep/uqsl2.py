@@ -457,6 +457,44 @@ def _rep_hom_basis(k: int, l: int, mode: Mode) -> list:
     return out
 
 
+def rep_hom_coordinates(x: RepMap) -> list:
+    """Coordinates of an intertwiner x: V^{(x)k} -> V^{(x)l} against
+    rep_hom_basis(k, l), checked exactly.
+
+    Each basis map is the kernel vector of one free unknown of the RREF of
+    the X and Y equations: one there, its other entries at pivot unknowns
+    of rows holding that free unknown.  A row's pivot precedes its other
+    unknowns, and the unknowns run in (target mask, source mask) order, so
+    the free unknown is the map's last entry and no other basis map has an
+    entry there.  An intertwiner is therefore the sum of the basis maps
+    weighted by its own entries at their free unknowns.  That sum is
+    rebuilt and compared with x, so a map outside the span raises
+    ValueError instead of returning coordinates.
+    """
+    mode = x.mode
+    basis = _rep_hom_basis(x.source_rank, x.target_rank, mode)
+    zero = mode.zero()
+    coords = [x.entries.get(f, zero)
+              for f in _free_unknowns(x.source_rank, x.target_rank, mode)]
+    pairs: dict = {}
+    for c, h in zip(coords, basis):
+        if not c.is_zero():
+            for key, v in h.entries.items():
+                pairs.setdefault(key, []).append((c, v))
+    rebuilt = RepMap(x.source_rank, x.target_rank,
+                     {key: _contract(ps, mode) for key, ps in pairs.items()},
+                     mode)
+    if rebuilt.entries != x.entries:
+        raise ValueError("functor image escaped the intertwiner span")
+    return coords
+
+
+@cache
+def _free_unknowns(k: int, l: int, mode: Mode) -> list:
+    # the free unknown of each basis map, its last entry (rep_hom_coordinates)
+    return [max(h.entries) for h in _rep_hom_basis(k, l, mode)]
+
+
 def _intertwiner_system(k: int, l: int, mode: Mode):
     # (pairs, rows): the K-allowed entries (u, v) as unknowns, and the X and
     # Y equations on them as sparse rows, in a fixed order

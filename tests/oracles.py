@@ -9,8 +9,10 @@ by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
 functor's linear extension by pairwise scalar products and sums, the
 scalar operators and the elimination row update by per-field bodies that
-never enter the contraction kernel, and the functor on a simple diagram by
-composing elementary cap and cup layers.
+never enter the contraction kernel, the functor on a simple diagram by
+composing elementary cap and cup layers, and the pairing of functor
+images with intertwiners by tracing each composed image, not by its
+coordinates.
 """
 
 import math
@@ -21,15 +23,17 @@ from math import comb, gcd
 from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
-from skeinrep.functor import (F_diagram, F_object, _simple_rep, rep_braiding,
-                              rep_coev, rep_ev, rep_twist)
+from skeinrep.functor import (F_diagram, F_object, _cleared_projector,
+                              _k_rows, _pairing_B, _simple_rep, _sparse_trace,
+                              rep_braiding, rep_coev, rep_ev, rep_twist)
 from skeinrep.linalg import Eliminator, vec_scale, vec_sub_scaled
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
                               _lmul, _poly_divexact, _poly_gcd,
                               cyclotomic_poly)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
-from skeinrep.turaev import hom_basis, object_seq, seq_size
+from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
+                             seq_size)
 from skeinrep.uqsl2 import RepMap, elementary_morphisms, rep_hom_basis
 
 
@@ -548,6 +552,18 @@ def full_projector_hom_matrix(s, t, mode=GENERIC):
         for row, u in zip(matrix, kept):
             row.append(coords.get(u, mode.zero()))
     return matrix
+
+
+def trace_pairing_matrix(s, t, mode=GENERIC):
+    """The pairing matrix of verify_equivalence by traces: for each
+    good-type diagram d and each B_v = pi_s h_v' of the Gram matrix,
+    tr(K pi_t F(d) B_v), with K pi_t F(d) composed in full."""
+    s = object_seq(s, mode)
+    t = object_seq(t, mode)
+    kp = _k_rows(_cleared_projector(t, mode))
+    B = _pairing_B(s, seq_size(t), mode)
+    return [[_sparse_trace(kp.compose(_simple_rep(d, mode)), b) for b in B]
+            for d in good_type_diagrams(s, t)]
 
 
 @cache

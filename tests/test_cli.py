@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from skeinrep.cli import _override_entry, main
+from skeinrep.cli import (MAX_ENTRY_CHARS, MAX_ENTRY_SPAN, _override_entry,
+                          main)
 from skeinrep.diagrams import bracket, parse_word
-from skeinrep.scalars import RootMode, format_scalar
+from skeinrep.scalars import GENERIC, RootMode, format_scalar
 
 ROOT = Path(__file__).parents[1]
 DATA = Path(__file__).parent / "data"
@@ -231,6 +232,35 @@ def test_root_override_cancels_or_refuses_a_pole(tmp_path):
     assert (code, out) == (1, "")
     assert err == (f"error: {override}: matrix row 1, column 1: denominator "
                    f"{phi12} vanishes at a primitive 12-th root of unity\n")
+
+
+@pytest.mark.parametrize("mode", ["generic", "root:3"])
+def test_override_entries_at_and_past_the_limits(tmp_path, mode):
+    m = RootMode(3) if mode == "root:3" else GENERIC
+    wide = MAX_ENTRY_SPAN
+    at_limit = ["7" * MAX_ENTRY_CHARS, f"a^{wide} + 1 / a + 2",
+                f"a + 2 / a^{wide // 2} + a^{-(wide - wide // 2)}"]
+    for text in at_limit:
+        assert not _override_entry(text, m).is_zero(), text
+    past = [("7" * (MAX_ENTRY_CHARS + 1),
+             f"entry has {MAX_ENTRY_CHARS + 1} characters, above the limit "
+             f"of {MAX_ENTRY_CHARS}"),
+            (f"a^{wide + 1} + 1 / a + 2",
+             f"powers of a span {wide + 1}, above the limit of {wide}"),
+            (f"a + 2 / a^{wide // 2} + a^{-(wide // 2) - 1}",
+             f"powers of a span {wide + 1}, above the limit of {wide}"),
+            ("a^20000 + 3*a^7 + 1 / a^19999 + 2*a^5 + 1",
+             f"powers of a span 20000, above the limit of {wide}")]
+    for text, reason in past:
+        override = tmp_path / "limit.json"
+        override.write_text(json.dumps({
+            "source": [1, 1], "target": [1, 1], "mode": mode,
+            "matrix": [["1", text], ["0", "1"]]}))
+        code, out, err = run_cli("verify", DATA / "pairs.batch",
+                                 "--gram-override", override)
+        assert (code, out) == (1, ""), text
+        assert err == f"error: {override}: matrix row 1, column 2: " \
+            f"{reason}\n", text
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),

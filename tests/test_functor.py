@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -5,22 +7,26 @@ import pytest
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
                      hom_dimension, layered_simple_rep, pairwise_compose,
                      pairwise_linear_extension, pairwise_trace,
-                     scaled_denominator_clear)
+                     scaled_denominator_clear, trace_pairing_matrix)
+from skeinrep import functor
 from skeinrep import linalg
+from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
                               _cleared_projector, _denominator_clear,
-                              _image_columns, _int_W, _kproj,
+                              _image_columns, _int_W, _k_rows,
                               _object_projector, _pairing_A, _pairing_B,
-                              _simple_rep, _sparse_trace, coefficient_b,
-                              mate_flat, mate_sharp, quantum_trace_rep,
+                              _pairing_rows, _simple_rep, _sparse_trace,
+                              coefficient_b, mate_flat, mate_sharp,
+                              quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
                               verify_equivalence)
 from skeinrep.scalars import GENERIC, PoleError, RootMode
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
-from skeinrep.turaev import good_type_diagrams, hom_basis, seq_size
+from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
+                             seq_size)
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, cg_vector,
                             elementary_morphisms, hw_projector, rep_hom_basis)
 
@@ -332,7 +338,8 @@ def _color_seqs(colors, max_size):
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
                                   RootMode(5)], ids=str)
 def test_fused_contractions_match_pairwise_oracles(mode):
-    # every A, B and pairing matrix verify_equivalence builds, |s|+|t| <= 6
+    # every A and B matrix verify_equivalence builds, and the composed
+    # images K pi_t F(d) of the trace pairing oracle, |s|+|t| <= 6
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 6)
     traces = 0
@@ -346,7 +353,7 @@ def test_fused_contractions_match_pairwise_oracles(mode):
             W = _int_W(seq_size(t), seq_size(s), mode)
             assert [b.entries for b in B] \
                 == [pairwise_compose(ps, h).entries for h in W]
-            kp = _kproj(t, mode)
+            kp = _k_rows(_cleared_projector(t, mode))
             rows = list(A)
             for d in good_type_diagrams(s, t):
                 td = kp.compose(_simple_rep(d, mode))
@@ -358,6 +365,76 @@ def test_fused_contractions_match_pairwise_oracles(mode):
                     assert _sparse_trace(x, b) == pairwise_trace(x, b)
                     traces += 1
     assert traces > 100
+
+
+def _sparse_rows(matrix):
+    return [{v: x for v, x in enumerate(row) if not x.is_zero()}
+            for row in matrix]
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_pairing_by_coordinates_matches_trace_oracle(mode):
+    # every criterion 6 or 7 pair with |s|+|t| <= 6 and a seeded sample of
+    # size 8: C gram over all Gram columns equals the traced pairing entry
+    # by entry, and the reported rank, read on the pivot columns, is its rank
+    colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
+    seqs = _color_seqs(colors, 8)
+    pairs = [(s, t) for s in seqs for t in seqs
+             if seq_size(s) + seq_size(t) <= 6]
+    pairs += random.Random(f"pairing {mode}").sample(
+        [(s, t) for s in seqs for t in seqs
+         if seq_size(s) + seq_size(t) == 8], 4)
+    entries = 0
+    for s, t in pairs:
+        s, t = object_seq(s, mode), object_seq(t, mode)
+        B = _pairing_B(s, seq_size(t), mode)
+        gram = [[_sparse_trace(a, b) for b in B]
+                for a in _pairing_A(t, seq_size(s), mode)]
+        want = _sparse_rows(trace_pairing_matrix(s, t, mode))
+        assert _pairing_rows(good_type_diagrams(s, t), gram, range(len(B)),
+                             mode) == want, (s, t)
+        assert verify_equivalence(s, t, mode).matrix_rank \
+            == linalg.rank(want), (s, t)
+        entries += sum(map(len, want))
+    assert entries > 200
+
+
+def _escaped_image(monkeypatch, mode):
+    # F(d) with its last entry moved, for every simple diagram; the
+    # projectors are built first, so no cached projector sees the change
+    F_hom_matrix((1, 1), (1, 1), mode)
+    verify_equivalence((1, 1), (2,), mode)
+    true_rep = functor._simple_rep
+
+    def bumped(d, mode):
+        x = true_rep(d, mode)
+        last = max(x.entries)
+        return x + RepMap(x.source_rank, x.target_rank,
+                          {last: mode.one()}, mode)
+
+    monkeypatch.setattr(functor, "_simple_rep", bumped)
+    functor._image_coordinates.cache_clear()
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(4)], ids=str)
+def test_escaped_image_raises_value_error(monkeypatch, mode):
+    escaped = "^functor image escaped the intertwiner span$"
+    try:
+        _escaped_image(monkeypatch, mode)
+        with pytest.raises(ValueError, match=escaped):
+            verify_equivalence((1, 1), (2,), mode)
+        with pytest.raises(ValueError, match=escaped):
+            F_hom_matrix((1, 1), (1, 1), mode)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["homdim", "1,1", "2", "--mode", str(mode)])
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() \
+            == "error: functor image escaped the intertwiner span\n"
+    finally:
+        monkeypatch.undo()
+        functor._image_coordinates.cache_clear()
 
 
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(4), RootMode(5)],

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, act, act_Y_power,
                             cg_dims, cg_vector, elementary_morphisms,
                             generator_matrix, highest_weight_basis,
                             hw_projector, mask_weight, rep_hom_basis,
-                            weight_slice)
+                            rep_hom_coordinates, weight_slice)
 
 
 def _basis_vectors(n, mode):
@@ -181,6 +182,52 @@ def test_rep_hom_basis_dims_and_intertwining():
 def test_rep_hom_basis_past_size_eight():
     # 252 unknowns; the dimension is the Clebsch-Gordan fusion count
     assert len(rep_hom_basis(5, 5)) == hom_dimension((1,) * 5, (1,) * 5) == 42
+
+
+_MODES = [GENERIC, RootMode(3), RootMode(4), RootMode(5)]
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+def test_hom_basis_maps_are_one_at_their_own_last_entry(mode):
+    # the premise of rep_hom_coordinates, k + l <= 8
+    count = 0
+    for k in range(9):
+        for l in range(k % 2, 9 - k, 2):
+            basis = rep_hom_basis(k, l, mode)
+            for u, h in enumerate(basis):
+                last = max(h.entries)
+                assert h.entries[last].is_one(), (k, l, u)
+                assert all(last not in g.entries
+                           for w, g in enumerate(basis) if w != u), (k, l, u)
+                count += 1
+    assert count > 100
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+def test_hom_coordinates_rebuild_combinations(mode):
+    rng = random.Random(16)
+    for k, l in [(0, 2), (2, 2), (3, 1), (2, 4), (3, 3)]:
+        basis = rep_hom_basis(k, l, mode)
+        coords = [mode.from_int(rng.randint(-3, 3)) for _ in basis]
+        x = RepMap.zero(k, l, mode)
+        for c, h in zip(coords, basis):
+            x = x + h.scale(c)
+        assert rep_hom_coordinates(x) == coords, (k, l)
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+def test_hom_coordinates_refuse_a_map_outside_the_span(mode):
+    one = mode.one()
+    for k, l in [(1, 1), (2, 2), (3, 1), (2, 4)]:
+        for h in rep_hom_basis(k, l, mode):
+            last = max(h.entries)
+            # the matrix unit at a free unknown, and h with that entry moved
+            unit = RepMap(k, l, {last: one}, mode)
+            bumped = h + unit
+            for x in (unit, bumped):
+                with pytest.raises(ValueError, match="^functor image "
+                                   "escaped the intertwiner span$"):
+                    rep_hom_coordinates(x)
 
 
 def test_hw_projector_properties():

@@ -22,13 +22,13 @@ from .functor import FunctorReport, verify_equivalence
 
 
 # Larger inputs run for tens of seconds to minutes, so they are refused
-# with one error line.  Cold jw 9 takes 4 to 5 s generically (1.4 s at
-# r = 19) and jw 10 22 s.
+# with one error line.  Cold jw 9 takes 1.7 to 2.0 s generically (0.8 s
+# in-process at r = 19), and jones_wenzl(10) 6.5 s in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
 # homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
 # At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 takes
-# 4.6 to 6.0 s generically and 13.4 to 14.9 s at r = 19 (the largest degree
-# admitted), homdim 6,4 0 11.2 to 12.4 s at r = 19 (2-CPU x86-64 machine).
+# 2.3 s generically and 4.8 to 6.3 s at r = 19 (the largest degree
+# admitted), homdim 6,4 0 2.6 to 3.2 s at r = 19 (2-CPU x86-64 machine).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair

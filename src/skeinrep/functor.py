@@ -80,30 +80,84 @@ def _color_projector(k: int, mode: Mode) -> RepMap:
 
 
 def _object_projector(s: tuple, mode: Mode) -> RepMap:
-    """f_s = f_{s_1} (x) ... (x) f_{s_m}; each color is cached."""
+    """f_s = f_{s_1} (x) ... (x) f_{s_m}, built in full for F_object only;
+    every other use applies it color by color (_apply_colors)."""
     return reduce(RepMap.tensor, [_color_projector(k, mode) for k in s]
                   or [RepMap.identity(0, mode)])
 
 
 @cache
-def _cleared_projector(s: tuple, mode: Mode) -> RepMap:
-    """lambda_s f_s for a nonzero scalar lambda_s, every entry
-    denominator-free: each color is cleared on its own, so the tensor
-    products multiply polynomials only.  Ranks, rank profiles and
+def _cleared_projector(k: int, mode: Mode) -> RepMap:
+    """lambda_k f_k for one color k and a nonzero scalar lambda_k, every
+    entry denominator-free.  An object's lambda_s f_s is their tensor
+    product, never built: (A (x) B) X = (A (x) 1)(1 (x) B) X, so each color
+    acts on its own bits (_apply_colors).  Ranks, rank profiles and
     coordinates against maps scaled alike do not see lambda_s."""
-    if len(s) <= 1:
-        return _denominator_clear(_object_projector(s, mode))
-    return _cleared_projector(s[:-1], mode).tensor(
-        _cleared_projector(s[-1:], mode))
+    return _denominator_clear(_color_projector(k, mode))
 
 
 @cache
-def _image_columns(s: tuple, mode: Mode) -> list:
-    # the first linearly independent columns of f_s, read off lambda_s f_s
+def _color_columns(k: int, mode: Mode) -> list:
+    # the first linearly independent columns of f_k, read off lambda_k f_k
     rows: dict = {}
-    for (i, j), v in _cleared_projector(s, mode).entries.items():
+    for (i, j), v in _cleared_projector(k, mode).entries.items():
         rows.setdefault(i, {})[j] = v
     return linalg.column_rank_profile(rows.values())
+
+
+def _image_columns(s: tuple, mode: Mode) -> list:
+    """The first linearly independent columns of f_s, ascending.
+    RREF(A (x) B) = RREF(A) (x) RREF(B), so they are the products of each
+    color's own."""
+    cols = [0]
+    for k in s:
+        cols = [c << k | j for c in cols for j in _color_columns(k, mode)]
+    return cols
+
+
+@cache
+def _projector_columns(k: int, mode: Mode) -> dict:
+    # lambda_k f_k by column: b -> [(a, x)] for its entries x at (a, b)
+    cols: dict = {}
+    for (a, b), x in _cleared_projector(k, mode).entries.items():
+        cols.setdefault(b, []).append((a, x))
+    return cols
+
+
+@cache
+def _kept_projector_rows(k: int, mode: Mode) -> dict:
+    # (lambda_k f_k C_k)^T by column, as _apply_colors takes it:
+    # b -> [(j, x)] for each entry x of lambda_k f_k at (b, j), j an image
+    # column of f_k
+    keep = set(_color_columns(k, mode))
+    rows: dict = {}
+    for (b, j), x in _cleared_projector(k, mode).entries.items():
+        if j in keep:
+            rows.setdefault(b, []).append((j, x))
+    return rows
+
+
+def _apply_colors(s: tuple, entries: dict, columns, mode: Mode) -> dict:
+    """The entries of (M_{s_1} (x) ... (x) M_{s_m}) m, for a map m given by
+    its entries keyed (target mask, source mask).  Each color k > 1 of s,
+    in the order of s, applies M_k to its own bits of the target mask, one
+    contraction per entry; columns(k, mode) is M_k by column,
+    b -> [(a, x)].  M_1 is the identity, so color 1 costs nothing."""
+    shift = seq_size(s)
+    for k in s:
+        shift -= k
+        if k == 1:
+            continue
+        cols = columns(k, mode)
+        block = (1 << k) - 1 << shift
+        pairs: dict = {}
+        for (i, j), y in entries.items():
+            rest = i & ~block
+            for a, x in cols.get((i & block) >> shift, ()):
+                pairs.setdefault((rest | a << shift, j), []).append((x, y))
+        entries = {key: v for key, ps in pairs.items()
+                   if not (v := _contract(ps, mode)).is_zero()}
+    return entries
 
 
 def F_object(s, mode: Mode = GENERIC) -> dict:
@@ -131,26 +185,28 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     Each compression is taken as f_t h C_s, with C_s the image columns of
     f_s (those of F_object); X -> X C_s is injective on maps with
     X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
-    Both projectors enter as lambda f (_cleared_projector), which scales
-    every compression alike.  One exact RREF of the compressions gives the
-    kept rows, its pivots, and in its row with pivot u the coefficient on
-    compression u of every compression.  Each image F(h) is the sum of the
-    intertwiners weighted by its coordinates (rep_hom_coordinates, which
-    raises ValueError for an image outside their span), so its coordinate
-    on u is one contraction of that row against them.
+    Both projectors enter as lambda f, which scales every compression
+    alike, and both act color by color (_apply_colors): f_t on the target
+    of h, then f_s C_s, transposed, on its source.  One exact RREF of the
+    compressions gives the kept rows, its pivots, and in its row with
+    pivot u the coefficient on compression u of every compression.  Each
+    image F(h) is the sum of the intertwiners weighted by its coordinates
+    (rep_hom_coordinates, which raises ValueError for an image outside
+    their span), so its coordinate on u is one contraction of that row
+    against them.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    fs, pt = _cleared_projector(s, mode), _cleared_projector(t, mode)
-    keep = set(_image_columns(s, mode))
-    ps = RepMap(fs.source_rank, fs.target_rank,
-                {(i, j): v for (i, j), v in fs.entries.items() if j in keep},
-                mode)
     coords = [rep_hom_coordinates(F_diagram(h.value))
               for h in hom_basis(s, t, mode)]
-    rref = linalg.rref_rows(linalg.transpose(
-        pt.compose(h).compose(ps).entries
-        for h in rep_hom_basis(seq_size(s), seq_size(t), mode)))
+    compressions = []
+    for h in rep_hom_basis(seq_size(s), seq_size(t), mode):
+        left = _apply_colors(t, h.entries, _projector_columns, mode)
+        # keyed (source, target) from here on, the same for every h
+        compressions.append(_apply_colors(
+            s, {(j, i): v for (i, j), v in left.items()},
+            _kept_projector_rows, mode))
+    rref = linalg.rref_rows(linalg.transpose(compressions))
     return [[_contract([(x, c[j]) for j, x in row.items()], mode)
              for c in coords] for row in rref]
 
@@ -364,9 +420,14 @@ def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
 
 @cache
 def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
-    # B_v = pi_s h_v' for h_v' spanning Hom(V^l, V^|s|)
-    ps = _cleared_projector(s, mode)
-    return [ps.compose(h) for h in _int_W(l, seq_size(s), mode)]
+    """B_v = pi_s h_v' for the maps h_v' spanning Hom(V^l, V^|s|), with
+    pi_s = lambda_s f_s applied color by color to the target of h_v'
+    (_apply_colors): a color 1 costs nothing, and no projector of more
+    than one color is built."""
+    n = seq_size(s)
+    return [RepMap(l, n, _apply_colors(s, h.entries, _projector_columns,
+                                       mode), mode)
+            for h in _int_W(l, n, mode)]
 
 
 def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:

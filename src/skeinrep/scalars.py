@@ -65,16 +65,16 @@ def _lshift(f: Laurent, k: int) -> Laurent:
     return {e + k: c for e, c in f.items()}
 
 
-def _to_list(f: Laurent) -> list:
-    # little-endian coefficient list; caller guarantees min exponent 0
-    n = max(f) + 1
-    out = [0] * n
+def _to_list(f: Laurent, s: int = 1) -> list:
+    # little-endian coefficient list in x = a^s; caller guarantees min
+    # exponent 0 and every exponent a multiple of s
+    out = [0] * (max(f) // s + 1)
     for e, c in f.items():
-        out[e] = c
+        out[e // s] = c
     return out
 
-def _from_list(cs: list) -> Laurent:
-    return {e: c for e, c in enumerate(cs) if c}
+def _from_list(cs: list, s: int = 1) -> Laurent:
+    return {e * s: c for e, c in enumerate(cs) if c}
 
 
 def _list_divexact(f: list, g: list) -> list:
@@ -129,21 +129,24 @@ def _list_primitive(f: list) -> list:
 
 def _poly_gcd(f: Laurent, g: Laurent) -> Laurent:
     """gcd in Z[a] of two polynomials with min exponent 0 (content included,
-    positive leading coefficient)."""
+    positive leading coefficient).  Polynomials in x = a^s are worked in x,
+    since gcd(f(x^s), g(x^s)) = gcd(f, g)(x^s): the dense lists of the
+    remainder sequence then carry no zero between the powers of x."""
     if not f:
         return _normalize_sign(g)
     if not g:
         return _normalize_sign(f)
+    s = gcd(*f, *g) or 1    # every exponent of f and g is a multiple of s
     cf, cg = abs(gcd(*f.values())), abs(gcd(*g.values()))
-    u = _list_primitive(_to_list(f))
-    v = _list_primitive(_to_list(g))
+    u = _list_primitive(_to_list(f, s))
+    v = _list_primitive(_to_list(g, s))
     if len(u) < len(v):
         u, v = v, u
     # primitive PRS
     while v:
         r = _list_prem(u, v)
         u, v = v, _list_primitive(r)
-    return _lscale(_from_list(u), gcd(cf, cg))
+    return _lscale(_from_list(u, s), gcd(cf, cg))
 
 
 def _normalize_sign(f: Laurent) -> Laurent:
@@ -153,9 +156,12 @@ def _normalize_sign(f: Laurent) -> Laurent:
 
 
 def _poly_divexact(f: Laurent, g: Laurent) -> Laurent:
+    # f / g knowing g | f; in x = a^s as in _poly_gcd, since the quotient
+    # of f(x^s) by g(x^s) is a polynomial in x^s as well
     if g == _ONE:
         return f
-    return _from_list(_list_divexact(_to_list(f), _to_list(g)))
+    s = gcd(*f, *g) or 1
+    return _from_list(_list_divexact(_to_list(f, s), _to_list(g, s)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +516,8 @@ def _eval_cyclo(f: Laurent, mode: "RootMode") -> ScalarCyclotomic:
 def _lcm_step(den, d, folded: list):
     """The factor taking den to lcm(den, d), or None if d divides den.  A
     den is an int (root) or a polynomial (generic); folded lists the dens
-    den is a multiple of, so a repeated one costs no gcd, and lcm(1, d) = d
-    costs none either."""
+    den is a multiple of, so a repeated one costs no gcd, and neither
+    lcm(1, d) = d nor lcm(den, 1) = den costs one."""
     if d == den or d in folded:
         return None
     folded.append(d)
@@ -520,6 +526,8 @@ def _lcm_step(den, d, folded: list):
         return None if grow == 1 else grow
     if den == _ONE:
         return d
+    if d == _ONE:
+        return None
     grow = _poly_divexact(d, _poly_gcd(den, d))
     return None if grow == _ONE else grow
 
@@ -528,16 +536,26 @@ def _contract(pairs, mode):
     """Sum of x * y over the (x, y) pairs, exactly, normalized once: the
     numerators are convolved into one accumulator over a running common
     denominator, then root mode reduces mod Phi_{4r} and by the content
-    gcd, and generic mode cancels the polynomial gcd (none over den 1).
+    gcd, and generic mode cancels the polynomial gcd.
+
+    Generic mode skips that gcd over den 1, and also when every pair has a
+    factor 1 or -1 (mode.signs) and every denominator met is 1 or prime to
+    the running one.  The canonical fractions N_i / d_i then sum to
+    N / (d_1 ... d_m), and modulo each d_i, N is N_i times the other d_j,
+    all prime to d_i, so the sum is canonical as it stands.
     """
     folded: list = []
     if not mode.is_root:
         acc: Laurent = {}       # zero coefficients dropped at the end
         den = _ONE
+        one, minus_one = mode.signs
+        coprime = True
         for x, y in pairs:
             xs, ys = x.num, y.num
             if not xs or not ys:
                 continue
+            coprime = coprime and (y is one or y is minus_one or x is one
+                                   or x is minus_one)
             d = (y.den if x.den == _ONE else x.den if y.den == _ONE
                  else _lmul(x.den, y.den))
             if d != den:
@@ -545,16 +563,19 @@ def _contract(pairs, mode):
                 if grow is not None:
                     acc = _lmul({e: c for e, c in acc.items() if c}, grow)
                     den = _lmul(den, grow)
+                coprime = coprime and (grow == d or d == _ONE)
                 if d != den:
                     xs = _lmul(xs, _poly_divexact(den, d))
+            elif den != _ONE:
+                coprime = False
             for e1, c1 in xs.items():
                 for e2, c2 in ys.items():
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
         num = {e: c for e, c in acc.items() if c}
-        if den == _ONE:
+        if not num or den == _ONE:
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
-        return ScalarGeneric(num, den)
+        return ScalarGeneric(num, den, _canonical=coprime)
     acc = []                    # grown to the longest product, reduced once
     den = 1
     for x, y in pairs:

@@ -9,10 +9,12 @@ by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
 functor's linear extension by pairwise scalar products and sums, the
 scalar operators and the elimination row update by per-field bodies that
-never enter the contraction kernel, the functor on a simple diagram by
-composing elementary cap and cup layers, and the pairing of functor
+never enter the contraction kernel, polynomial gcds and exact quotients
+on the dense lists in a itself, the functor on a simple diagram by
+composing elementary cap and cup layers, the pairing of functor
 images with intertwiners by tracing each composed image, not by its
-coordinates.
+coordinates, and an object's cleared projector by the full tensor
+product of its colors', not color by color.
 """
 
 import math
@@ -26,10 +28,12 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
 from skeinrep.functor import (F_diagram, F_object, _cleared_projector,
                               _k_rows, _pairing_B, _simple_rep, _sparse_trace,
                               rep_braiding, rep_coev, rep_ev, rep_twist)
-from skeinrep.linalg import Eliminator, vec_scale, vec_sub_scaled
+from skeinrep.linalg import (Eliminator, column_rank_profile, vec_scale,
+                             vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
-                              _lmul, _poly_divexact, _poly_gcd,
-                              cyclotomic_poly)
+                              _from_list, _list_divexact, _list_prem,
+                              _list_primitive, _lmul, _lscale, _poly_divexact,
+                              _poly_gcd, _to_list, cyclotomic_poly)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
@@ -358,6 +362,26 @@ def pairwise_row_update(u, v, c):
     return out
 
 
+def dense_poly_gcd(f, g):
+    """_poly_gcd in a itself, never in a power of a: the primitive
+    remainder sequence on the full dense coefficient lists."""
+    if not f or not g:
+        h = f or g
+        return {e: -c for e, c in h.items()} if h and h[max(h)] < 0 else h
+    u = _list_primitive(_to_list(f))
+    v = _list_primitive(_to_list(g))
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, _list_primitive(_list_prem(u, v))
+    return _lscale(_from_list(u), gcd(gcd(*f.values()), gcd(*g.values())))
+
+
+def dense_poly_divexact(f, g):
+    """_poly_divexact in a itself: long division of the dense lists."""
+    return _from_list(_list_divexact(_to_list(f), _to_list(g)))
+
+
 def scaled_denominator_clear(m):
     """A map times the lcm of its entries' denominators, by full scalar
     multiplication (one canonicalization per entry)."""
@@ -554,13 +578,35 @@ def full_projector_hom_matrix(s, t, mode=GENERIC):
     return matrix
 
 
+@cache
+def tensor_cleared_projector(s, mode=GENERIC):
+    """lambda_s f_s built in full, as the tensor product of each color's
+    cleared projector: the route the functor's color-by-color application
+    (_apply_colors) replaces."""
+    if not s:
+        return RepMap.identity(0, mode)
+    if len(s) == 1:
+        return _cleared_projector(s[0], mode)
+    return tensor_cleared_projector(s[:-1], mode).tensor(
+        _cleared_projector(s[-1], mode))
+
+
+def tensor_image_columns(s, mode=GENERIC):
+    """The column rank profile of tensor_cleared_projector(s), by one
+    elimination of the full map."""
+    rows: dict = {}
+    for (i, j), v in tensor_cleared_projector(s, mode).entries.items():
+        rows.setdefault(i, {})[j] = v
+    return column_rank_profile(rows.values())
+
+
 def trace_pairing_matrix(s, t, mode=GENERIC):
     """The pairing matrix of verify_equivalence by traces: for each
     good-type diagram d and each B_v = pi_s h_v' of the Gram matrix,
     tr(K pi_t F(d) B_v), with K pi_t F(d) composed in full."""
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    kp = _k_rows(_cleared_projector(t, mode))
+    kp = _k_rows(tensor_cleared_projector(t, mode))
     B = _pairing_B(s, seq_size(t), mode)
     return [[_sparse_trace(kp.compose(_simple_rep(d, mode)), b) for b in B]
             for d in good_type_diagrams(s, t)]

@@ -7,17 +7,18 @@ import pytest
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
                      hom_dimension, layered_simple_rep, pairwise_compose,
                      pairwise_linear_extension, pairwise_trace,
-                     scaled_denominator_clear, trace_pairing_matrix)
+                     scaled_denominator_clear, tensor_cleared_projector,
+                     tensor_image_columns, trace_pairing_matrix)
 from skeinrep import functor
 from skeinrep import linalg
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _cleared_projector, _denominator_clear,
-                              _image_columns, _int_W, _k_rows,
-                              _object_projector, _pairing_A, _pairing_B,
-                              _pairing_rows, _simple_rep, _sparse_trace,
+                              _denominator_clear, _image_columns, _int_W,
+                              _k_rows, _object_projector, _pairing_A,
+                              _pairing_B, _pairing_rows, _simple_rep,
+                              _sparse_trace,
                               coefficient_b, mate_flat, mate_sharp,
                               quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
@@ -285,6 +286,26 @@ def test_verify_equivalence_reports():
         verify_equivalence((3,), (3,), RootMode(4))
 
 
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(6)], ids=str)
+def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
+    # each color's projector acts on its own bits, so no RepMap is ever
+    # tensored on the verify_equivalence path, from cold functor caches
+    cached = [functor._color_projector, functor._cleared_projector,
+              functor._projector_columns, functor._pairing_A,
+              functor._pairing_B]
+    for f in cached:
+        f.cache_clear()
+
+    def refused(self, other):
+        raise AssertionError("a tensor product was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(RepMap, "tensor", refused)
+        r = verify_equivalence((2, 3), (3, 2), mode)
+    assert r.verdict == "iso"
+    assert functor._cleared_projector.cache_info().currsize == 2
+
+
 def test_verify_equivalence_past_size_eight():
     # a 10-strand pair: the intertwiner solve is a 252-unknown kernel
     r = verify_equivalence((5,), (5,))
@@ -344,7 +365,7 @@ def test_fused_contractions_match_pairwise_oracles(mode):
     seqs = _color_seqs(colors, 6)
     traces = 0
     for s in seqs:
-        ps = _cleared_projector(s, mode)
+        ps = tensor_cleared_projector(s, mode)
         for t in seqs:
             if seq_size(s) + seq_size(t) > 6:
                 continue
@@ -353,7 +374,7 @@ def test_fused_contractions_match_pairwise_oracles(mode):
             W = _int_W(seq_size(t), seq_size(s), mode)
             assert [b.entries for b in B] \
                 == [pairwise_compose(ps, h).entries for h in W]
-            kp = _k_rows(_cleared_projector(t, mode))
+            kp = _k_rows(tensor_cleared_projector(t, mode))
             rows = list(A)
             for d in good_type_diagrams(s, t):
                 td = kp.compose(_simple_rep(d, mode))
@@ -501,7 +522,7 @@ def test_cleared_projector_is_a_polynomial_multiple_of_f_s():
     for mode, seqs in _projector_cases():
         one = mode.one().den
         for s in seqs:
-            cleared = _cleared_projector(s, mode)
+            cleared = tensor_cleared_projector(s, mode)
             true = F_object(s, mode)["projector"]
             assert all(v.den == one for v in cleared.entries.values())
             assert (cleared.source_rank, cleared.target_rank) \
@@ -524,6 +545,48 @@ def test_image_columns_are_the_rank_profile_of_f_s():
                 rows.setdefault(i, {})[j] = v
             assert _image_columns(s, mode) \
                 == linalg.column_rank_profile(rows.values()), (mode, s)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_pairing_B_matches_the_full_tensor_projector(mode):
+    # every (s, l) with |s| + l <= 8, colors up to 5 generically: each
+    # color applied on its own bits equals lambda_s f_s built in full
+    colors = range(1, 6) if not mode.is_root else range(1, mode.r - 1)
+    keys = [(s, l) for s in _color_seqs(colors, 8)
+            for l in range(seq_size(s) % 2, 9 - seq_size(s), 2)]
+    maps = 0
+    for s, l in keys:
+        ps = tensor_cleared_projector(s, mode)
+        want = [ps.compose(h).entries for h in _int_W(l, seq_size(s), mode)]
+        assert [b.entries for b in _pairing_B(s, l, mode)] == want, (s, l)
+        maps += len(want)
+    assert maps > 150
+
+
+@pytest.mark.parametrize("s, l, mode", [((5, 3), 2, GENERIC),
+                                        ((5, 3), 2, RootMode(7)),
+                                        ((7, 1), 2, GENERIC)],
+                         ids=["5,3-2-generic", "5,3-2-root:7",
+                              "7,1-2-generic"])
+def test_pairing_B_matches_the_full_tensor_projector_at_size_ten(s, l,
+                                                                 mode):
+    ps = tensor_cleared_projector(s, mode)
+    want = [ps.compose(h).entries for h in _int_W(l, seq_size(s), mode)]
+    assert [b.entries for b in _pairing_B(s, l, mode)] == want
+
+
+def test_image_columns_match_the_full_cleared_tensor():
+    # every object of size <= 7: the product of each color's rank profile
+    # is the rank profile of lambda_s f_s eliminated in full
+    count = 0
+    for mode, colors in [(GENERIC, range(1, 8)), (RootMode(4), (1, 2)),
+                         (RootMode(5), (1, 2, 3))]:
+        for s in _color_seqs(colors, 7):
+            assert _image_columns(s, mode) \
+                == tensor_image_columns(s, mode), (mode, s)
+            count += 1
+    assert count > 150
 
 
 def test_hom_matrix_matches_full_projector_composition():

@@ -3,8 +3,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (pairwise_add, pairwise_mul, pairwise_row_update,
-                     pairwise_truediv, xgcd_inverse)
+from oracles import (dense_poly_divexact, dense_poly_gcd, pairwise_add,
+                     pairwise_mul, pairwise_row_update, pairwise_truediv,
+                     xgcd_inverse)
+from skeinrep import scalars
 from skeinrep.linalg import vec_sub_scaled
 from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
                               ScalarGeneric, _contract, _cyclo_reduce,
@@ -521,3 +523,125 @@ def test_row_update_matches_pairwise_oracle(mode, data):
     for j in got:
         _same_form(got[j], want[j])
         assert got[j].mode is mode
+
+
+# ---------------------------------------------------------------------------
+# polynomials in a power of a, and sums that need no gcd
+
+def _poly(max_deg):
+    return st.lists(st.integers(-4, 4), min_size=1, max_size=max_deg + 1) \
+        .map(lambda cs: {e: c for e, c in enumerate(cs) if c}).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_poly(4), g=_poly(4), common=_poly(3), s=st.integers(1, 4),
+       shift=st.integers(0, 1))
+def test_strided_gcd_matches_dense_route_and_sympy(f, g, common, s, shift):
+    # f and g share the factor common; in a^s they share it stretched
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    f = {e * s + shift: c for e, c in _lmul(f, common).items()}
+    g = {e * s: c for e, c in _lmul(g, common).items()}
+    got = _poly_gcd(f, g)
+    assert got == dense_poly_gcd(f, g)
+    want = sympy.Poly(sympy.gcd(sum(c * a ** e for e, c in f.items()),
+                                sum(c * a ** e for e, c in g.items())), a)
+    assert got == {m[0]: int(c) for m, c in want.terms()}
+    for h in (f, g):
+        assert _poly_divexact(h, got) == dense_poly_divexact(h, got)
+        assert _lmul(_poly_divexact(h, got), got) == h
+
+
+def test_strided_division_refuses_an_inexact_quotient():
+    with pytest.raises(ArithmeticError):
+        _poly_divexact({0: 1, 8: 1}, {0: 1, 4: -1})
+
+
+def _quantum_dens():
+    # a^(2n - 2) [n] for n = 2..5 and two products of them: prime to each
+    # other exactly when the n share no factor, so draws mix prime and
+    # overlapping denominators
+    q = [_lshift(f, -min(f)) for f in
+         (GENERIC.quantum_int(n).num for n in range(2, 6))]
+    return q + [_lmul(q[0], q[1]), _lmul(q[0], q[3]), {0: 3}, {0: 1, 2: 1}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_signed_sums_match_pairwise_and_stay_canonical(data):
+    # every pair has a factor +-1, the case _contract may leave uncancelled;
+    # monomial numerators make sums that cancel against a shared factor
+    # likely, such as 1/([2][3]) + 1/([2][5]) (q^2 = -1 modulo [2])
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    nums = st.one_of(
+        st.builds(lambda c, e: {e: c}, st.sampled_from([1, -1, 2]),
+                  st.integers(-4, 8)),
+        st.dictionaries(st.integers(-4, 4), st.integers(-6, 6).filter(bool),
+                        max_size=3))
+    terms = data.draw(st.lists(st.builds(ScalarGeneric, nums,
+                                         st.sampled_from(_quantum_dens())),
+                               max_size=4))
+    signs = data.draw(st.lists(st.sampled_from(GENERIC.signs),
+                               min_size=len(terms), max_size=len(terms)))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(terms),
+                               max_size=len(terms)))
+    pairs = [(u, x) if flip else (x, u)
+             for x, u, flip in zip(terms, signs, flips)]
+    got = _contract(pairs, GENERIC)
+    want = GENERIC.zero()
+    for x, u in zip(terms, signs):
+        want = pairwise_add(want, x if u.is_one() else -x)
+    _same_form(got, want)
+    _assert_generic_canonical(got, sympy, a)
+
+
+def test_coprime_sum_costs_one_gcd(monkeypatch):
+    # [3]/[4] + [2]/[3]: the lcm step finds the denominators prime, so the
+    # sum is canonical as it stands (the strided gcd's own call to itself
+    # is not counted)
+    q = GENERIC.quantum_int
+    x, y = q(3) / q(4), q(2) / q(3)
+    calls, depth = [], []
+    true_gcd = scalars._poly_gcd
+
+    def counted(f, g):
+        if not depth:
+            calls.append((f, g))
+        depth.append(1)
+        try:
+            return true_gcd(f, g)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(scalars, "_poly_gcd", counted)
+    got = x + y
+    monkeypatch.undo()
+    assert len(calls) == 1
+    _same_form(got, pairwise_add(x, y))
+
+
+@pytest.mark.parametrize("terms", [
+    # [2] | both denominators, and [5] + [3] = 0 modulo [2] (q^2 = -1)
+    [({0: 1}, (0, 1)), ({4: 1}, (0, 3))],
+    # one repeated denominator that the numerators' sum cancels
+    [({0: 1}, (0,)), ({4: 1}, (0,))],
+    # a third term prime to the first two does not hide their cancellation
+    [({0: 1}, (0, 1)), ({4: 1}, (0, 3)), ({0: 1}, (6,))]])
+def test_sums_over_shared_factors_are_cancelled(terms):
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    dens = _quantum_dens()
+    xs = []
+    for num, factors in terms:
+        den = {0: 1}
+        for i in factors:
+            den = _lmul(den, dens[i])
+        xs.append(ScalarGeneric(num, den))
+    one = GENERIC.signs[0]
+    got = _contract([(x, one) for x in xs], GENERIC)
+    want = GENERIC.zero()
+    for x in xs:
+        want = pairwise_add(want, x)
+    _same_form(got, want)
+    _assert_generic_canonical(got, sympy, a)

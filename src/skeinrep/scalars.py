@@ -516,8 +516,8 @@ def _eval_cyclo(f: Laurent, mode: "RootMode") -> ScalarCyclotomic:
 def _lcm_step(den, d, folded: list):
     """The factor taking den to lcm(den, d), or None if d divides den.  A
     den is an int (root) or a polynomial (generic); folded lists the dens
-    den is a multiple of, so a repeated one costs no gcd, and neither
-    lcm(1, d) = d nor lcm(den, 1) = den costs one."""
+    den is a multiple of, so a repeated one costs no gcd, and lcm(1, d) = d
+    costs none either."""
     if d == den or d in folded:
         return None
     folded.append(d)
@@ -526,8 +526,6 @@ def _lcm_step(den, d, folded: list):
         return None if grow == 1 else grow
     if den == _ONE:
         return d
-    if d == _ONE:
-        return None
     grow = _poly_divexact(d, _poly_gcd(den, d))
     return None if grow == _ONE else grow
 
@@ -536,26 +534,16 @@ def _contract(pairs, mode):
     """Sum of x * y over the (x, y) pairs, exactly, normalized once: the
     numerators are convolved into one accumulator over a running common
     denominator, then root mode reduces mod Phi_{4r} and by the content
-    gcd, and generic mode cancels the polynomial gcd.
-
-    Generic mode skips that gcd over den 1, and also when every pair has a
-    factor 1 or -1 (mode.signs) and every denominator met is 1 or prime to
-    the running one.  The canonical fractions N_i / d_i then sum to
-    N / (d_1 ... d_m), and modulo each d_i, N is N_i times the other d_j,
-    all prime to d_i, so the sum is canonical as it stands.
+    gcd, and generic mode cancels the polynomial gcd (none over den 1).
     """
     folded: list = []
     if not mode.is_root:
         acc: Laurent = {}       # zero coefficients dropped at the end
         den = _ONE
-        one, minus_one = mode.signs
-        coprime = True
         for x, y in pairs:
             xs, ys = x.num, y.num
             if not xs or not ys:
                 continue
-            coprime = coprime and (y is one or y is minus_one or x is one
-                                   or x is minus_one)
             d = (y.den if x.den == _ONE else x.den if y.den == _ONE
                  else _lmul(x.den, y.den))
             if d != den:
@@ -563,19 +551,16 @@ def _contract(pairs, mode):
                 if grow is not None:
                     acc = _lmul({e: c for e, c in acc.items() if c}, grow)
                     den = _lmul(den, grow)
-                coprime = coprime and (grow == d or d == _ONE)
                 if d != den:
                     xs = _lmul(xs, _poly_divexact(den, d))
-            elif den != _ONE:
-                coprime = False
             for e1, c1 in xs.items():
                 for e2, c2 in ys.items():
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
         num = {e: c for e, c in acc.items() if c}
-        if not num or den == _ONE:
+        if den == _ONE:
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
-        return ScalarGeneric(num, den, _canonical=coprime)
+        return ScalarGeneric(num, den)
     acc = []                    # grown to the longest product, reduced once
     den = 1
     for x, y in pairs:

@@ -305,17 +305,6 @@ class RepMap:
                 for (i, j), v in sorted(self.entries.items())}
 
 
-@cache
-def generator_matrix(generator: str, rank: int, mode: Mode) -> RepMap:
-    """Matrix of a generator action on V^{(x)rank} (cached)."""
-    entries = {}
-    for j in range(1 << rank):
-        w = act(generator, TensorVector.basis(rank, j, mode))
-        for i, c in w.components.items():
-            entries[(i, j)] = c
-    return RepMap(rank, rank, entries, mode)
-
-
 def elementary_morphisms(mode: Mode = GENERIC) -> dict:
     """The structural maps b, d, alpha, c, theta on V (exact matrices), in a
     fresh dict; the maps are built once per mode."""
@@ -439,22 +428,55 @@ def cg_dims(n: int, m: int, mode: Mode = GENERIC):
 def rep_hom_basis(k: int, l: int, mode: Mode = GENERIC) -> list:
     """Basis of the maps V^{(x)k} -> V^{(x)l} commuting with K, X and Y.
 
-    Unknowns are the entries allowed by K-equivariance (equal q-weights,
-    which at a root of unity means congruent weights); X and Y impose
-    linear equations solved by exact kernel extraction.
+    Only the invariants of V^{(x)(k+l)} are solved for, by exact kernel
+    extraction from the X and Y equations on the K-fixed masks; every
+    other basis is bent from them (see _rep_hom_basis).  K-weights have
+    the parity of the rank, so an odd k + l has no intertwiners.
     """
     return _rep_hom_basis(k, l, mode)
 
 
 @cache
 def _rep_hom_basis(k: int, l: int, mode: Mode) -> list:
+    """The cached basis of rep_hom_basis(k, l).
+
+    With coev_k the nested cups 1 -> V^{(x)k} (x) V^{(x)k}, the maps f
+    correspond to the invariants g = (f (x) id_k) coev_k of V^{(x)(k+l)}.
+    coev_k has one entry per source mask v, c(v) = (-q)^(zeros of v) at
+    v 2^k | w(v) with w(v) the bit-reversed complement of v, so
+
+        f[u, v] = g[u 2^k | w(v)] / c(v).
+
+    A kernel vector of the (k, l) X and Y equations, in (target mask,
+    source mask) order, is one at its free unknown, its last entry, and
+    zero at every other free unknown.  In reversed order these vectors
+    are the unique RREF of the kernel, so the RREF of any spanning set,
+    here the bent invariants, read back in reverse gives them.
+    """
     # positional arguments only, so every spelling of a call shares one entry
-    pairs, rows = _intertwiner_system(k, l, mode)
-    out = []
-    for vec in kernel_basis(rows, len(pairs), mode.one()):
-        entries = {pairs[i]: c for i, c in vec.items()}
-        out.append(RepMap(k, l, entries, mode))
-    return out
+    if (k + l) % 2:
+        return []
+    if k == 0:
+        masks, rows = _invariant_system(l, mode)
+        return [RepMap(0, l, {(masks[i], 0): c for i, c in vec.items()}, mode)
+                for vec in kernel_basis(rows, len(masks), mode.one())]
+    low = (1 << k) - 1
+    unbend = []     # w -> (v, 1 / c(v)), c(v) = (-q)^(ones of w)
+    for w in range(1 << k):
+        z = w.bit_count()
+        c = mode.a_power(-2 * z)
+        v = low ^ int(mask_bits(w, k)[::-1], 2)
+        unbend.append((v, -c if z % 2 else c))
+    bent = []       # keyed -(u 2^k | v): reversed (target, source) order
+    for g in _rep_hom_basis(0, k + l, mode):
+        row = {}
+        for (m, _), x in g.entries.items():
+            v, c = unbend[m & low]
+            row[-((m >> k << k) | v)] = x * c
+        bent.append(row)
+    return [RepMap(k, l, {divmod(-col, 1 << k): x for col, x in row.items()},
+                   mode)
+            for row in reversed(rref_rows(bent))]
 
 
 def rep_hom_coordinates(x: RepMap) -> list:
@@ -495,39 +517,19 @@ def _free_unknowns(k: int, l: int, mode: Mode) -> list:
     return [max(h.entries) for h in _rep_hom_basis(k, l, mode)]
 
 
-def _intertwiner_system(k: int, l: int, mode: Mode):
-    # (pairs, rows): the K-allowed entries (u, v) as unknowns, and the X and
-    # Y equations on them as sparse rows, in a fixed order
-    pairs = []
-    for u in range(1 << l):
-        wu = mask_weight(u, l)
-        for v in range(1 << k):
-            wv = mask_weight(v, k)
-            if mode.a_power(2 * wu) == mode.a_power(2 * wv):
-                pairs.append((u, v))
-    index = {p: i for i, p in enumerate(pairs)}
-    by_row: dict = {}
-    by_col: dict = {}
-    for u, v in pairs:
-        by_row.setdefault(u, []).append(v)
-        by_col.setdefault(v, []).append(u)
+def _invariant_system(n: int, mode: Mode):
+    # (masks, rows): the K-fixed masks of V^{(x)n} as unknowns, and the X
+    # and Y equations on them as sparse rows, in a fixed order
+    one = mode.one()
+    masks = [m for m in range(1 << n)
+             if mode.a_power(2 * mask_weight(m, n)) == one]
     rows: dict = {}
-    for gen in ("X", "Y"):
-        A = generator_matrix(gen, l, mode)
-        B = generator_matrix(gen, k, mode)
-        # (A M - M B)[u2, v] = 0
-        for (u2, u), x in A.entries.items():
-            for v in by_row.get(u, ()):
-                row = rows.setdefault((gen, u2, v), {})
-                c = index[(u, v)]
-                row[c] = row.get(c, mode.zero()) + x
-        for (v2, v), y in B.entries.items():
-            for u2 in by_col.get(v2, ()):
-                row = rows.setdefault((gen, u2, v), {})
-                c = index[(u2, v2)]
-                row[c] = row.get(c, mode.zero()) - y
-    return pairs, [{c: x for c, x in rows[key].items() if not x.is_zero()}
-                   for key in sorted(rows)]
+    for i, m in enumerate(masks):
+        e = TensorVector.basis(n, m, mode)
+        for gen in ("X", "Y"):
+            for m2, x in act(gen, e).components.items():
+                rows.setdefault((gen, m2), {})[i] = x
+    return masks, [rows[key] for key in sorted(rows)]
 
 
 def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:

@@ -14,7 +14,9 @@ on the dense lists in a itself, the functor on a simple diagram by
 composing elementary cap and cup layers, the pairing of functor
 images with intertwiners by tracing each composed image, not by its
 coordinates, and an object's cleared projector by the full tensor
-product of its colors', not color by color.
+product of its colors', not color by color, and intertwiner bases by
+solving the X and Y equations of each (k, l) on their own, with full
+generator matrices, not by bending the invariants of V^(x)(k+l).
 """
 
 import math
@@ -28,8 +30,8 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
 from skeinrep.functor import (F_diagram, F_object, _cleared_projector,
                               _k_rows, _pairing_B, _simple_rep, _sparse_trace,
                               rep_braiding, rep_coev, rep_ev, rep_twist)
-from skeinrep.linalg import (Eliminator, column_rank_profile, vec_scale,
-                             vec_sub_scaled)
+from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
+                             vec_scale, vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
                               _from_list, _list_divexact, _list_prem,
                               _list_primitive, _lmul, _lscale, _poly_divexact,
@@ -38,7 +40,8 @@ from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
                              seq_size)
-from skeinrep.uqsl2 import RepMap, elementary_morphisms, rep_hom_basis
+from skeinrep.uqsl2 import (RepMap, TensorVector, act, elementary_morphisms,
+                            mask_weight, rep_hom_basis)
 
 
 def catalan(n: int) -> int:
@@ -554,6 +557,62 @@ class TrackedEliminator:
         if v:
             return None
         return {t: -c for t, c in a.items()}
+
+
+@cache
+def generator_matrix(generator: str, rank: int, mode) -> RepMap:
+    """Matrix of a generator action on V^(x)rank, column by column from
+    act on the basis masks."""
+    entries = {}
+    for j in range(1 << rank):
+        w = act(generator, TensorVector.basis(rank, j, mode))
+        for i, c in w.components.items():
+            entries[(i, j)] = c
+    return RepMap(rank, rank, entries, mode)
+
+
+def intertwiner_system(k: int, l: int, mode):
+    """(pairs, rows): the K-allowed entries (u, v) of a map V^(x)k ->
+    V^(x)l as unknowns, in (target, source) order, and the X and Y
+    equations A M - M B = 0 on them as sparse rows, in a fixed order."""
+    pairs = []
+    for u in range(1 << l):
+        wu = mask_weight(u, l)
+        for v in range(1 << k):
+            wv = mask_weight(v, k)
+            if mode.a_power(2 * wu) == mode.a_power(2 * wv):
+                pairs.append((u, v))
+    index = {p: i for i, p in enumerate(pairs)}
+    by_row: dict = {}
+    by_col: dict = {}
+    for u, v in pairs:
+        by_row.setdefault(u, []).append(v)
+        by_col.setdefault(v, []).append(u)
+    rows: dict = {}
+    for gen in ("X", "Y"):
+        A = generator_matrix(gen, l, mode)
+        B = generator_matrix(gen, k, mode)
+        # (A M - M B)[u2, v] = 0
+        for (u2, u), x in A.entries.items():
+            for v in by_row.get(u, ()):
+                row = rows.setdefault((gen, u2, v), {})
+                c = index[(u, v)]
+                row[c] = row.get(c, mode.zero()) + x
+        for (v2, v), y in B.entries.items():
+            for u2 in by_col.get(v2, ()):
+                row = rows.setdefault((gen, u2, v), {})
+                c = index[(u2, v2)]
+                row[c] = row.get(c, mode.zero()) - y
+    return pairs, [{c: x for c, x in rows[key].items() if not x.is_zero()}
+                   for key in sorted(rows)]
+
+
+def direct_rep_hom_basis(k: int, l: int, mode=GENERIC) -> list:
+    """rep_hom_basis(k, l) by the kernel of the (k, l) system itself: one
+    map per free unknown, one there and zero at every other."""
+    pairs, rows = intertwiner_system(k, l, mode)
+    return [RepMap(k, l, {pairs[i]: c for i, c in vec.items()}, mode)
+            for vec in kernel_basis(rows, len(pairs), mode.one())]
 
 
 def full_projector_hom_matrix(s, t, mode=GENERIC):

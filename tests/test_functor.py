@@ -10,7 +10,7 @@ from oracles import (categorical_trace_rep, full_projector_hom_matrix,
                      scaled_denominator_clear, tensor_cleared_projector,
                      tensor_image_columns, trace_pairing_matrix)
 from skeinrep import functor
-from skeinrep import linalg
+from skeinrep import linalg, uqsl2
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
@@ -288,11 +288,12 @@ def test_verify_equivalence_reports():
 
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(6)], ids=str)
 def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
-    # each color's projector acts on its own bits, so no RepMap is ever
-    # tensored on the verify_equivalence path, from cold functor caches
+    # each color's projector acts on its own bits and each intertwiner
+    # basis is bent from the invariants entry by entry, so no RepMap is
+    # ever tensored on the verify_equivalence path, from cold caches
     cached = [functor._color_projector, functor._cleared_projector,
               functor._projector_columns, functor._pairing_A,
-              functor._pairing_B]
+              functor._pairing_B, uqsl2._rep_hom_basis, uqsl2._free_unknowns]
     for f in cached:
         f.cache_clear()
 

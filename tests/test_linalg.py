@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import input_order_elimination
+from oracles import input_order_elimination, intertwiner_system
 from skeinrep import linalg
 from skeinrep.scalars import GENERIC, RootMode
-from skeinrep.uqsl2 import _intertwiner_system
 
 
 def _vec(mode, *entries):
@@ -127,7 +126,7 @@ def _assert_matches_input_order(rows, ncols, mode):
 def test_batch_routes_match_input_order_on_intertwiner_systems(mode):
     for k in range(7):
         for l in range(7 - k):
-            pairs, rows = _intertwiner_system(k, l, mode)
+            pairs, rows = intertwiner_system(k, l, mode)
             _assert_matches_input_order(rows, len(pairs), mode)
 
 

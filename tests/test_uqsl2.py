@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from oracles import hw_multiplicity, hom_dimension
+from oracles import (direct_rep_hom_basis, generator_matrix, hom_dimension,
+                     hw_multiplicity, intertwiner_system)
+from skeinrep import uqsl2
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, act, act_Y_power,
                             cg_dims, cg_vector, elementary_morphisms,
-                            generator_matrix, highest_weight_basis,
-                            hw_projector, mask_weight, rep_hom_basis,
-                            rep_hom_coordinates, weight_slice)
+                            highest_weight_basis, hw_projector, mask_weight,
+                            rep_hom_basis, rep_hom_coordinates, weight_slice)
 
 
 def _basis_vectors(n, mode):
@@ -185,6 +186,49 @@ def test_rep_hom_basis_past_size_eight():
 
 
 _MODES = [GENERIC, RootMode(3), RootMode(4), RootMode(5)]
+
+
+def _assert_same_basis(got, want, key):
+    # entry for entry, in the same order and with the same printed scalars
+    assert len(got) == len(want), key
+    for g, w in zip(got, want):
+        assert g == w and g.to_json_dict() == w.to_json_dict(), key
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+def test_bent_hom_basis_matches_direct_solve(mode):
+    # every key with k > 0 is bent from the invariants of V^(k+l); the
+    # oracle solves the (k, l) equations with full generator matrices
+    for n in range(9):
+        if n % 2 == 0:
+            masks, rows = uqsl2._invariant_system(n, mode)
+            pairs, want_rows = intertwiner_system(0, n, mode)
+            assert (masks, rows) == ([u for u, _ in pairs], want_rows), n
+        for k in range(n + 1):
+            _assert_same_basis(rep_hom_basis(k, n - k, mode),
+                               direct_rep_hom_basis(k, n - k, mode),
+                               (k, n - k))
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(19)], ids=str)
+def test_bent_hom_basis_matches_direct_solve_past_size_eight(mode):
+    for k, l in [(5, 5), (3, 7), (10, 0)]:
+        _assert_same_basis(rep_hom_basis(k, l, mode),
+                           direct_rep_hom_basis(k, l, mode), (k, l))
+
+
+def test_odd_hom_basis_is_empty_without_a_solve(monkeypatch):
+    # K-weights have the parity of the rank, so an odd k + l has no
+    # K-allowed entry; the uncached body returns before any system exists
+    def refused(*args):
+        raise AssertionError("an intertwiner system was built")
+
+    monkeypatch.setattr(uqsl2, "_invariant_system", refused)
+    monkeypatch.setattr(uqsl2, "kernel_basis", refused)
+    monkeypatch.setattr(uqsl2, "rref_rows", refused)
+    for mode in _MODES + [RootMode(19)]:
+        for k, l in [(1, 0), (0, 3), (2, 1), (4, 5), (7, 2), (0, 9)]:
+            assert uqsl2._rep_hom_basis.__wrapped__(k, l, mode) == []
 
 
 @pytest.mark.parametrize("mode", _MODES, ids=str)

@@ -23,7 +23,7 @@ from .functor import FunctorReport, verify_equivalence
 
 # Larger inputs run for tens of seconds to minutes, so they are refused
 # with one error line.  Cold jw 9 takes 1.7 to 2.0 s generically (0.8 s
-# in-process at r = 19), and jones_wenzl(10) 6.5 s in-process.
+# in-process at r = 19), and jones_wenzl(10) 6.3 to 7.4 s in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
 # homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
 # At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 takes

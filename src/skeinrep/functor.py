@@ -281,12 +281,15 @@ def _rep_twist(n: int, mode: Mode) -> RepMap:
 
 
 def quantum_trace_rep(f: RepMap):
-    """Quantum trace tr(K^(x)n . f) of an endomorphism of V^(x)n.  It equals
+    """Quantum trace tr(K^(x)n . f) = sum_i a^(2 w(i)) f_ii of an
+    endomorphism of V^(x)n, one contraction over its diagonal.  It equals
     the categorical composite ev . c . ((theta f) x id) . coev, which is
     the test oracle ``categorical_trace_rep`` in ``tests/oracles.py``."""
     if f.source_rank != f.target_rank:
         raise ValueError("quantum trace needs an endomorphism")
-    return _sparse_trace(_k_rows(f), RepMap.identity(f.source_rank, f.mode))
+    n, mode = f.source_rank, f.mode
+    return _contract([(mode.a_power(2 * mask_weight(i, n)), v)
+                      for (i, j), v in f.entries.items() if i == j], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +377,6 @@ def _denominator_clear(m: RepMap) -> RepMap:
                                                          m.mode))), m.mode)
 
 
-def _k_rows(m: RepMap) -> RepMap:
-    # left-multiply by the diagonal K^(x)target_rank
-    n = m.target_rank
-    return RepMap(m.source_rank, n,
-                  {(i, j): times_a_power(v, 2 * mask_weight(i, n))
-                   for (i, j), v in m.entries.items()}, m.mode)
-
-
 def _sparse_trace(x: RepMap, y: RepMap):
     # tr(x . y) without forming the product, one contraction per entry
     ye = y.entries
@@ -390,51 +385,34 @@ def _sparse_trace(x: RepMap, y: RepMap):
 
 
 @cache
-def _int_W(k: int, l: int, mode: Mode) -> list:
-    return [_denominator_clear(h) for h in rep_hom_basis(k, l, mode)]
-
-
-@cache
-def _inverse_clearings(k: int, l: int, mode: Mode) -> list:
-    # 1 / lambda_u for the cleared maps h'_u = lambda_u h_u of _int_W:
-    # lambda_u is h'_u's own coordinate on h_u
-    return [rep_hom_coordinates(h)[u].inv()
-            for u, h in enumerate(_int_W(k, l, mode))]
-
-
-@cache
 def _image_coordinates(d: SimpleDiagram, mode: Mode) -> dict:
-    # F(d) = sum_u c_u h'_u over the cleared maps of _int_W, nonzero c_u
-    # keyed by u
-    inverse = _inverse_clearings(d.inputs, d.outputs, mode)
-    return {u: c * inverse[u]
+    # F(d) = sum_u c_u h_u over rep_hom_basis, nonzero c_u keyed by u
+    return {u: c
             for u, c in enumerate(rep_hom_coordinates(_simple_rep(d, mode)))
             if not c.is_zero()}
 
 
 @cache
-def _pairing_A(t: tuple, k: int, mode: Mode) -> list:
-    # A_u = K pi_t h_u' for h_u' spanning Hom(V^k, V^|t|)
-    return [_k_rows(b) for b in _pairing_B(t, k, mode)]
-
-
-@cache
-def _pairing_B(s: tuple, l: int, mode: Mode) -> list:
-    """B_v = pi_s h_v' for the maps h_v' spanning Hom(V^l, V^|s|), with
-    pi_s = lambda_s f_s applied color by color to the target of h_v'
-    (_apply_colors): a color 1 costs nothing, and no projector of more
-    than one color is built."""
+def _pairing_maps(s: tuple, l: int, mode: Mode) -> list:
+    """P_v = K^(1/2) pi_s h_v for the maps h_v of rep_hom_basis(l, |s|),
+    one factor of both sides of the Gram matrix.  pi_s = lambda_s f_s is
+    applied color by color to the target of h_v (_apply_colors): a color 1
+    costs nothing, and no projector of more than one color is built.  Then
+    target mask i is weighted by a^w(i), the diagonal of K^(1/2)."""
     n = seq_size(s)
-    return [RepMap(l, n, _apply_colors(s, h.entries, _projector_columns,
-                                       mode), mode)
-            for h in _int_W(l, n, mode)]
+    maps = []
+    for h in rep_hom_basis(l, n, mode):
+        entries = _apply_colors(s, h.entries, _projector_columns, mode)
+        maps.append(RepMap(l, n, {(i, j): times_a_power(v, mask_weight(i, n))
+                                  for (i, j), v in entries.items()}, mode))
+    return maps
 
 
 def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:
-    """The pairing tr(K pi_t F(d) B_v) of each diagram d with the columns v
-    of the Gram matrix gram[u][v] = tr(A_u B_v), as sparse rows: with
-    F(d) = sum_u c_u h_u', K pi_t F(d) = sum_u c_u A_u, so each entry is
-    sum_u c_u gram[u][v], one contraction."""
+    """The pairing tr(K pi_t F(d) pi_s h_v) of each diagram d with the
+    columns v of the Gram matrix gram[u][v] = tr(P_u P_v), as sparse rows:
+    with F(d) = sum_u c_u h_u, it is sum_u c_u gram[u][v], one
+    contraction."""
     rows = []
     for d in diagrams:
         coords = _image_coordinates(d, mode)
@@ -457,18 +435,22 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     passes to its Gram rank, so all three numbers live in the purified
     categories.  The verdict is iso exactly when the three agree.
 
-    The Gram matrix is gram[u][v] = tr(A_u B_v).  The pairing of an image
-    F(d) = sum_u c_u h_u' is sum_u c_u gram[u][v] (_pairing_rows), and
-    every Gram column is a combination of the pivot columns that the
-    Gram rank's elimination finds, so the pairing's rank is read on those
-    columns alone.  A functor image outside the intertwiner span raises
-    ValueError.
+    The Gram matrix is gram[u][v] = tr(K pi_t h_u pi_s h_v) for the
+    intertwiners h_u: V^|s| -> V^|t| and h_v: V^|t| -> V^|s|.  Every map
+    here preserves weight, so K^(1/2) on V^|t| times pi_t h_u equals
+    pi_t h_u times K^(1/2) on V^|s|, and the trace is tr(P_u P_v) with
+    both factors taken from the one cached list _pairing_maps.  The
+    pairing of an image F(d) = sum_u c_u h_u is sum_u c_u gram[u][v]
+    (_pairing_rows), and every Gram column is a combination of the pivot
+    columns that the Gram rank's elimination finds, so the pairing's rank
+    is read on those columns alone.  A functor image outside the
+    intertwiner span raises ValueError.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    A = _pairing_A(t, seq_size(s), mode)
-    B = _pairing_B(s, seq_size(t), mode)
-    gram = [[_sparse_trace(au, bv) for bv in B] for au in A]
+    left = _pairing_maps(t, seq_size(s), mode)
+    right = _pairing_maps(s, seq_size(t), mode)
+    gram = [[_sparse_trace(x, y) for y in right] for x in left]
     pivots = linalg.column_rank_profile(
         {v: x for v, x in enumerate(row) if not x.is_zero()} for row in gram)
     dim_rep = len(pivots)

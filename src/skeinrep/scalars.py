@@ -18,9 +18,9 @@ Conventions used throughout the package: ``q = a**2``, ``q**(1/2) = a``,
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from functools import cache, cached_property
-from math import gcd
+from math import gcd, lcm
 
 Laurent = dict  # exponent (int) -> coefficient (int), zero coefficients absent
 
@@ -761,8 +761,21 @@ def format_scalar(x) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
+def _coefficient(text: str) -> tuple:
+    # an integer or p/q coefficient as (p, q), the forms format_laurent
+    # writes: with no decimal point or exponent, its size is bounded by
+    # its length
+    m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text.strip())
+    if m is None:
+        raise ValueError(f"bad coefficient {text!r}")
+    den = int(m[2] or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return int(m[1]), den
+
+
 def parse_laurent(text: str):
-    """Parse a signed sum of ``c*a^e`` terms; rational c allowed.
+    """Parse a signed sum of ``c*a^e`` terms, each c an integer or p/q.
 
     Returns (laurent_with_integer_coeffs, common_denominator).
     """
@@ -790,13 +803,13 @@ def parse_laurent(text: str):
         raise ValueError(f"dangling sign in {text!r}")
     terms.append((sign, cur.strip()))
 
-    parts = []  # (Fraction coefficient, exponent)
+    parts = []  # (numerator, denominator, exponent)
     for sign, t in terms:
-        coeff = Fraction(1)
-        expo = 0
+        num, den, expo = sign, 1, 0
         if "*" in t:
             cs, vs = t.split("*", 1)
-            coeff = Fraction(cs.strip())
+            p, q = _coefficient(cs)
+            num, den = num * p, den * q
             t = vs.strip()
         if t.startswith("a"):
             rest = t[1:]
@@ -807,16 +820,14 @@ def parse_laurent(text: str):
             else:
                 raise ValueError(f"bad term {t!r}")
         elif t:
-            coeff = coeff * Fraction(t)
-            expo = 0
-        parts.append((sign * coeff, expo))
+            p, q = _coefficient(t)
+            num, den = num * p, den * q
+        parts.append((num, den, expo))
 
-    den = 1
-    for c, _ in parts:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(q for _, q, _ in parts))
     out: Laurent = {}
-    for c, e in parts:
-        v = out.get(e, 0) + c.numerator * (den // c.denominator)
+    for p, q, e in parts:
+        v = out.get(e, 0) + p * (den // q)
         if v:
             out[e] = v
         else:

@@ -13,10 +13,12 @@ never enter the contraction kernel, polynomial gcds and exact quotients
 on the dense lists in a itself, the functor on a simple diagram by
 composing elementary cap and cup layers, the pairing of functor
 images with intertwiners by tracing each composed image, not by its
-coordinates, and an object's cleared projector by the full tensor
-product of its colors', not color by color, and intertwiner bases by
-solving the X and Y equations of each (k, l) on their own, with full
-generator matrices, not by bending the invariants of V^(x)(k+l).
+coordinates, Gram entries by tracing K pi_t h_u against pi_s h_v, not
+by splitting K into two square roots, and an object's cleared projector
+by the full tensor product of its colors', not color by color, and
+intertwiner bases by solving the X and Y equations of each (k, l) on
+their own, with full generator matrices, not by bending the invariants
+of V^(x)(k+l).
 """
 
 import math
@@ -28,8 +30,8 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
 from skeinrep.functor import (F_diagram, F_object, _cleared_projector,
-                              _k_rows, _pairing_B, _simple_rep, _sparse_trace,
-                              rep_braiding, rep_coev, rep_ev, rep_twist)
+                              _simple_rep, rep_braiding, rep_coev, rep_ev,
+                              rep_twist)
 from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
                              vec_scale, vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
@@ -659,15 +661,34 @@ def tensor_image_columns(s, mode=GENERIC):
     return column_rank_profile(rows.values())
 
 
+def weighted_rows(m, e):
+    """m with the entry of target mask i times a^(e w(i)), by full scalar
+    multiplication: K^(x)n on the left for e = 2, its square root for
+    e = 1."""
+    n, mode = m.target_rank, m.mode
+    return RepMap(m.source_rank, n,
+                  {(i, j): pairwise_mul(mode.a_power(e * mask_weight(i, n)), v)
+                   for (i, j), v in m.entries.items()}, mode)
+
+
+def projected_intertwiners(s, l, mode=GENERIC):
+    """lambda_s f_s h_v for the maps h_v of rep_hom_basis(l, |s|), with
+    lambda_s f_s built in full and composed pairwise."""
+    ps = tensor_cleared_projector(s, mode)
+    return [pairwise_compose(ps, h)
+            for h in rep_hom_basis(l, seq_size(s), mode)]
+
+
 def trace_pairing_matrix(s, t, mode=GENERIC):
     """The pairing matrix of verify_equivalence by traces: for each
-    good-type diagram d and each B_v = pi_s h_v' of the Gram matrix,
-    tr(K pi_t F(d) B_v), with K pi_t F(d) composed in full."""
+    good-type diagram d and each intertwiner h_v: V^|t| -> V^|s|,
+    tr(K pi_t F(d) pi_s h_v), with K pi_t F(d) composed in full."""
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    kp = _k_rows(tensor_cleared_projector(t, mode))
-    B = _pairing_B(s, seq_size(t), mode)
-    return [[_sparse_trace(kp.compose(_simple_rep(d, mode)), b) for b in B]
+    kp = weighted_rows(tensor_cleared_projector(t, mode), 2)
+    right = projected_intertwiners(s, seq_size(t), mode)
+    return [[pairwise_trace(kp.compose(_simple_rep(d, mode)), y)
+             for y in right]
             for d in good_type_diagrams(s, t)]
 
 

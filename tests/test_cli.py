@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -261,6 +262,27 @@ def test_override_entries_at_and_past_the_limits(tmp_path, mode):
         assert (code, out) == (1, ""), text
         assert err == f"error: {override}: matrix row 1, column 2: " \
             f"{reason}\n", text
+
+
+@pytest.mark.parametrize("mode", ["generic", "root:5"])
+def test_override_entries_in_exponent_notation_are_refused(tmp_path, mode):
+    # 1e9999999 is 9 characters, within both entry limits, yet names a
+    # ten-million-digit integer: taken as a rational, one such entry cost
+    # 20 s generically and 27 s at root:5
+    for text, bad in [("1e9999999", "1e9999999"),
+                      ("a^2 - 3e999999*a", "3e999999"),
+                      ("1 / 1.5*a + 2", "1.5")]:
+        override = tmp_path / "exponent.json"
+        override.write_text(json.dumps({
+            "source": [1, 1], "target": [1, 1], "mode": mode,
+            "matrix": [["1", "0"], ["0", text]]}))
+        start = time.perf_counter()
+        code, out, err = run_cli("verify", DATA / "pairs.batch",
+                                 "--gram-override", override)
+        assert time.perf_counter() - start < 0.5, text
+        assert (code, out) == (1, ""), text
+        assert err == f"error: {override}: matrix row 2, column 2: " \
+            f"bad coefficient {bad!r}\n", text
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),

@@ -7,18 +7,18 @@ import pytest
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
                      hom_dimension, layered_simple_rep, pairwise_compose,
                      pairwise_linear_extension, pairwise_trace,
-                     scaled_denominator_clear, tensor_cleared_projector,
-                     tensor_image_columns, trace_pairing_matrix)
+                     projected_intertwiners, scaled_denominator_clear,
+                     tensor_cleared_projector, tensor_image_columns,
+                     trace_pairing_matrix, weighted_rows)
 from skeinrep import functor
 from skeinrep import linalg, uqsl2
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _image_columns, _int_W,
-                              _k_rows, _object_projector, _pairing_A,
-                              _pairing_B, _pairing_rows, _simple_rep,
-                              _sparse_trace,
+                              _denominator_clear, _image_columns,
+                              _object_projector, _pairing_maps,
+                              _pairing_rows, _simple_rep, _sparse_trace,
                               coefficient_b, mate_flat, mate_sharp,
                               quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
@@ -292,8 +292,8 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     # basis is bent from the invariants entry by entry, so no RepMap is
     # ever tensored on the verify_equivalence path, from cold caches
     cached = [functor._color_projector, functor._cleared_projector,
-              functor._projector_columns, functor._pairing_A,
-              functor._pairing_B, uqsl2._rep_hom_basis, uqsl2._free_unknowns]
+              functor._projector_columns, functor._pairing_maps,
+              uqsl2._rep_hom_basis, uqsl2._free_unknowns]
     for f in cached:
         f.cache_clear()
 
@@ -360,31 +360,29 @@ def _color_seqs(colors, max_size):
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
                                   RootMode(5)], ids=str)
 def test_fused_contractions_match_pairwise_oracles(mode):
-    # every A and B matrix verify_equivalence builds, and the composed
-    # images K pi_t F(d) of the trace pairing oracle, |s|+|t| <= 6
+    # every pairing map P = K^(1/2) pi h that verify_equivalence builds,
+    # and the composed images K^(1/2) pi_t F(d), |s|+|t| <= 6
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 6)
     traces = 0
     for s in seqs:
-        ps = tensor_cleared_projector(s, mode)
         for t in seqs:
             if seq_size(s) + seq_size(t) > 6:
                 continue
-            A = _pairing_A(t, seq_size(s), mode)
-            B = _pairing_B(s, seq_size(t), mode)
-            W = _int_W(seq_size(t), seq_size(s), mode)
-            assert [b.entries for b in B] \
-                == [pairwise_compose(ps, h).entries for h in W]
-            kp = _k_rows(tensor_cleared_projector(t, mode))
-            rows = list(A)
+            right = _pairing_maps(s, seq_size(t), mode)
+            assert [y.entries for y in right] \
+                == [weighted_rows(y, 1).entries
+                    for y in projected_intertwiners(s, seq_size(t), mode)]
+            kp = weighted_rows(tensor_cleared_projector(t, mode), 1)
+            rows = list(_pairing_maps(t, seq_size(s), mode))
             for d in good_type_diagrams(s, t):
                 td = kp.compose(_simple_rep(d, mode))
                 assert td.entries \
                     == pairwise_compose(kp, _simple_rep(d, mode)).entries
                 rows.append(td)
             for x in rows:
-                for b in B:
-                    assert _sparse_trace(x, b) == pairwise_trace(x, b)
+                for y in right:
+                    assert _sparse_trace(x, y) == pairwise_trace(x, y)
                     traces += 1
     assert traces > 100
 
@@ -410,16 +408,46 @@ def test_pairing_by_coordinates_matches_trace_oracle(mode):
     entries = 0
     for s, t in pairs:
         s, t = object_seq(s, mode), object_seq(t, mode)
-        B = _pairing_B(s, seq_size(t), mode)
-        gram = [[_sparse_trace(a, b) for b in B]
-                for a in _pairing_A(t, seq_size(s), mode)]
+        right = _pairing_maps(s, seq_size(t), mode)
+        gram = [[_sparse_trace(x, y) for y in right]
+                for x in _pairing_maps(t, seq_size(s), mode)]
         want = _sparse_rows(trace_pairing_matrix(s, t, mode))
-        assert _pairing_rows(good_type_diagrams(s, t), gram, range(len(B)),
-                             mode) == want, (s, t)
+        assert _pairing_rows(good_type_diagrams(s, t), gram,
+                             range(len(right)), mode) == want, (s, t)
         assert verify_equivalence(s, t, mode).matrix_rank \
             == linalg.rank(want), (s, t)
         entries += sum(map(len, want))
     assert entries > 200
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_gram_entries_match_the_full_k_weighted_trace(monkeypatch, mode):
+    # every pair with |s|+|t| <= 6: each entry tr(P_u P_v) of the Gram
+    # matrix verify_equivalence ranks equals tr(K pi_t h_u pi_s h_v) with
+    # both factors built in full by the oracles, K never split in halves
+    grams = []
+
+    def spy(diagrams, gram, columns, mode):
+        grams.append(gram)
+        return _pairing_rows(diagrams, gram, columns, mode)
+
+    monkeypatch.setattr(functor, "_pairing_rows", spy)
+    colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
+    seqs = _color_seqs(colors, 6)
+    entries = 0
+    for s in seqs:
+        for t in seqs:
+            if seq_size(s) + seq_size(t) > 6:
+                continue
+            verify_equivalence(s, t, mode)
+            left = [weighted_rows(x, 2) for x in
+                    projected_intertwiners(t, seq_size(s), mode)]
+            right = projected_intertwiners(s, seq_size(t), mode)
+            assert grams.pop() == [[pairwise_trace(x, y) for y in right]
+                                   for x in left], (s, t)
+            entries += len(left) * len(right)
+    assert entries > 150
 
 
 def _escaped_image(monkeypatch, mode):
@@ -552,15 +580,16 @@ def test_image_columns_are_the_rank_profile_of_f_s():
                                   RootMode(5)], ids=str)
 def test_pairing_B_matches_the_full_tensor_projector(mode):
     # every (s, l) with |s| + l <= 8, colors up to 5 generically: each
-    # color applied on its own bits equals lambda_s f_s built in full
+    # color applied on its own bits, then K^(1/2), equals lambda_s f_s
+    # built in full, composed and weighted pairwise
     colors = range(1, 6) if not mode.is_root else range(1, mode.r - 1)
     keys = [(s, l) for s in _color_seqs(colors, 8)
             for l in range(seq_size(s) % 2, 9 - seq_size(s), 2)]
     maps = 0
     for s, l in keys:
-        ps = tensor_cleared_projector(s, mode)
-        want = [ps.compose(h).entries for h in _int_W(l, seq_size(s), mode)]
-        assert [b.entries for b in _pairing_B(s, l, mode)] == want, (s, l)
+        want = [weighted_rows(y, 1).entries
+                for y in projected_intertwiners(s, l, mode)]
+        assert [y.entries for y in _pairing_maps(s, l, mode)] == want, (s, l)
         maps += len(want)
     assert maps > 150
 
@@ -572,9 +601,9 @@ def test_pairing_B_matches_the_full_tensor_projector(mode):
                               "7,1-2-generic"])
 def test_pairing_B_matches_the_full_tensor_projector_at_size_ten(s, l,
                                                                  mode):
-    ps = tensor_cleared_projector(s, mode)
-    want = [ps.compose(h).entries for h in _int_W(l, seq_size(s), mode)]
-    assert [b.entries for b in _pairing_B(s, l, mode)] == want
+    want = [weighted_rows(y, 1).entries
+            for y in projected_intertwiners(s, l, mode)]
+    assert [y.entries for y in _pairing_maps(s, l, mode)] == want
 
 
 def test_image_columns_match_the_full_cleared_tensor():

@@ -95,7 +95,8 @@ def test_format_parse_round_trip():
 
 
 def test_parse_scalar_rejects_garbage():
-    for bad in ("", "a^", "2a", "a**2", "1 +", "a^2 / ", "x + 1"):
+    for bad in ("", "a^", "2a", "a**2", "1 +", "a^2 / ", "x + 1", "1e3",
+                "0.5*a", "1/0"):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 

@@ -27,8 +27,9 @@ from .functor import FunctorReport, verify_equivalence
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis, and
 # homdim 1,1,1,1,1,1 1,1,1,1,1,1 takes 79 s and homdim 7,5 0 over 150 s.
 # At a root every scalar grows with deg Phi_4r: cold homdim 7,3 0 takes
-# 2.3 to 3.3 s generically and 5.4 to 6.6 s at r = 19 (the largest degree
-# admitted), homdim 6,4 0 2.7 to 2.8 s at r = 19 (2-CPU x86-64 machine).
+# 2.4 to 2.7 s generically and 2.9 to 4.2 s at r = 19 (the largest degree
+# admitted), homdim 3,7 0 and 7,2,1 0 3.5 to 4.0 s and homdim 6,4 0 1.7 s
+# at r = 19 (2-CPU x86-64 machine).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair

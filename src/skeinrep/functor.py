@@ -13,7 +13,9 @@ rank of the pairing between functor images and intertwiners.  The functor
 is an equivalence on the pair exactly when all three agree.  Each image
 is itself an intertwiner, so the pairing is its coordinates against the
 intertwiner basis times the Gram matrix, with no composition or trace of
-its own.
+its own.  So is each projected intertwiner pi h, so the Gram matrix is
+its coordinates on both sides times one Gram matrix of the plain
+intertwiner bases, traced once for every pair of the same sizes.
 """
 
 from functools import cache, reduce
@@ -25,8 +27,8 @@ from .diagrams import SimpleDiagram, TLMorphism
 from .tl_category import jones_wenzl
 from .turaev import good_type_diagrams, hom_basis, object_seq, \
     purified_hom_dim, seq_size
-from .uqsl2 import RepMap, TensorVector, elementary_morphisms, \
-    mask_weight, rep_hom_basis, rep_hom_coordinates
+from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
+    elementary_morphisms, mask_weight, rep_hom_basis, rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +139,33 @@ def _kept_projector_rows(k: int, mode: Mode) -> dict:
     return rows
 
 
-def _apply_colors(s: tuple, entries: dict, columns, mode: Mode) -> dict:
+def _apply_colors(s: tuple, entries: dict, columns, mode: Mode,
+                  keep=None) -> dict:
     """The entries of (M_{s_1} (x) ... (x) M_{s_m}) m, for a map m given by
-    its entries keyed (target mask, source mask).  Each color k > 1 of s,
-    in the order of s, applies M_k to its own bits of the target mask, one
-    contraction per entry; columns(k, mode) is M_k by column,
-    b -> [(a, x)].  M_1 is the identity, so color 1 costs nothing."""
+    its entries keyed (target mask, source mask).  Each color k > 1 of s
+    applies M_k to its own bits of the target mask, one contraction per
+    entry; columns(k, mode) is M_k by column, b -> [(a, x)].  M_1 is the
+    identity, so color 1 costs nothing.  The colors act on disjoint bits,
+    so they commute, and the largest goes last: given a set keep of keys,
+    the last color computes only the entries keyed in it."""
+    blocks = []
     shift = seq_size(s)
     for k in s:
         shift -= k
-        if k == 1:
-            continue
+        if k > 1:
+            blocks.append((k, shift))
+    blocks.sort()
+    for n, (k, shift) in enumerate(blocks, 1):
         cols = columns(k, mode)
         block = (1 << k) - 1 << shift
+        want = keep if n == len(blocks) else None
         pairs: dict = {}
         for (i, j), y in entries.items():
             rest = i & ~block
             for a, x in cols.get((i & block) >> shift, ()):
-                pairs.setdefault((rest | a << shift, j), []).append((x, y))
+                key = (rest | a << shift, j)
+                if want is None or key in want:
+                    pairs.setdefault(key, []).append((x, y))
         entries = {key: v for key, ps in pairs.items()
                    if not (v := _contract(ps, mode)).is_zero()}
     return entries
@@ -393,26 +404,111 @@ def _image_coordinates(d: SimpleDiagram, mode: Mode) -> dict:
 
 
 @cache
-def _pairing_maps(s: tuple, l: int, mode: Mode) -> list:
-    """P_v = K^(1/2) pi_s h_v for the maps h_v of rep_hom_basis(l, |s|),
-    one factor of both sides of the Gram matrix.  pi_s = lambda_s f_s is
-    applied color by color to the target of h_v (_apply_colors): a color 1
-    costs nothing, and no projector of more than one color is built.  Then
-    target mask i is weighted by a^w(i), the diagonal of K^(1/2)."""
+def _projector_coordinates(s: tuple, l: int, mode: Mode) -> list:
+    """M_s: row v holds the nonzero coordinates {b: c} of pi_s h_v against
+    the maps h_b of rep_hom_basis(l, |s|), for h_v in that basis, so
+    pi_s h_v = sum_b c h_b.  pi_s = lambda_s f_s is an intertwiner, so as
+    in rep_hom_coordinates coordinate b is the entry at the free unknown
+    of h_b, and the colors are applied (_apply_colors) only to the source
+    columns of those unknowns."""
     n = seq_size(s)
-    maps = []
+    free = {f: b for b, f in enumerate(_free_unknowns(l, n, mode))}
+    columns = {j for _, j in free}
+    rows = []
     for h in rep_hom_basis(l, n, mode):
-        entries = _apply_colors(s, h.entries, _projector_columns, mode)
-        maps.append(RepMap(l, n, {(i, j): times_a_power(v, mask_weight(i, n))
-                                  for (i, j), v in entries.items()}, mode))
-    return maps
+        entries = _apply_colors(
+            s, {key: v for key, v in h.entries.items() if key[1] in columns},
+            _projector_columns, mode, free)
+        rows.append({free[key]: v for key, v in entries.items()
+                     if key in free})
+    return rows
+
+
+@cache
+def _base_gram(k: int, l: int, mode: Mode) -> dict:
+    # the entries of G(k, l) traced so far, keyed (a, b) (_gram_matrix)
+    return {}
+
+
+@cache
+def _coordinate_gram(t: tuple, k: int, mode: Mode) -> tuple:
+    # (rows, done): row u of M_t G(k, |t|) for M_t = _projector_coordinates
+    # (t, k), at the columns b in done, None for a zero row of M_t
+    return [{} if row else None for row in
+            _projector_coordinates(t, k, mode)], set()
+
+
+def _unit(row: dict):
+    # b when the coordinate row is {b: 1}, else None
+    if len(row) == 1:
+        (b, c), = row.items()
+        if c.is_one():
+            return b
+    return None
+
+
+def _gram_matrix(s: tuple, t: tuple, mode: Mode) -> list:
+    """gram = M_t G(k, l) M_s^T for the coordinate rows M_t of t over
+    rep_hom_basis(k, l) and M_s of s over rep_hom_basis(l, k), k = |s| and
+    l = |t|, with G(k, l)[a][b] = tr(K h_a h'_b) over those plain bases.
+
+    Each entry of G is traced once per process, at the coordinate
+    supports only, and filed under both G(k, l) and G(l, k) = G(k, l)^T;
+    K commutes with intertwiners, so G(k, k) is symmetric and the trace
+    of (a, b) also gives (b, a).  The rows of M_t G are kept per (t, k) at
+    the columns some M_s has needed, so a pair adds only the columns new
+    to it, and then costs one contraction per Gram entry.  A zero row of
+    M_t gives a zero Gram row, and a row {b: 1} (every row of an object of
+    color 1 only) reads G or M_t G as it is."""
+    k, l = seq_size(s), seq_size(t)
+    left = _projector_coordinates(t, k, mode)
+    if not left:        # odd k + l: no intertwiners either way
+        return []
+    right = _projector_coordinates(s, l, mode)
+    rows, done = _coordinate_gram(t, k, mode)
+    need = set().union(*right) - done
+    if need:
+        g = _base_gram(k, l, mode)
+        gt = _base_gram(l, k, mode)     # g itself when k = l
+        h_k = rep_hom_basis(k, l, mode)
+        h_l = rep_hom_basis(l, k, mode)
+        for a in set().union(*left):
+            todo = [b for b in need if (a, b) not in g]
+            if not todo:
+                continue
+            ka = RepMap(k, l, {(i, j): times_a_power(v, 2 * mask_weight(i, l))
+                               for (i, j), v in h_k[a].entries.items()}, mode)
+            for b in todo:
+                g[a, b] = gt[b, a] = _sparse_trace(ka, h_l[b])
+        for u, row in enumerate(left):
+            if not row:
+                continue
+            a = _unit(row)
+            if a is not None:
+                rows[u].update((b, g[a, b]) for b in need)
+            else:
+                rows[u].update((b, _contract([(c, g[w, b])
+                                              for w, c in row.items()], mode))
+                               for b in need)
+        done |= need
+    zero = mode.zero()
+    units = [_unit(r) for r in right]
+    gram = []
+    for tu in rows:
+        if tu is None:
+            gram.append([zero] * len(right))
+            continue
+        gram.append([zero if not r else tu[b] if b is not None else
+                     _contract([(tu[w], c) for w, c in r.items()], mode)
+                     for r, b in zip(right, units)])
+    return gram
 
 
 def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:
     """The pairing tr(K pi_t F(d) pi_s h_v) of each diagram d with the
-    columns v of the Gram matrix gram[u][v] = tr(P_u P_v), as sparse rows:
-    with F(d) = sum_u c_u h_u, it is sum_u c_u gram[u][v], one
-    contraction."""
+    columns v of the Gram matrix gram[u][v] = tr(K pi_t h_u pi_s h_v), as
+    sparse rows: with F(d) = sum_u c_u h_u, it is sum_u c_u gram[u][v],
+    one contraction."""
     rows = []
     for d in diagrams:
         coords = _image_coordinates(d, mode)
@@ -436,10 +532,12 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     categories.  The verdict is iso exactly when the three agree.
 
     The Gram matrix is gram[u][v] = tr(K pi_t h_u pi_s h_v) for the
-    intertwiners h_u: V^|s| -> V^|t| and h_v: V^|t| -> V^|s|.  Every map
-    here preserves weight, so K^(1/2) on V^|t| times pi_t h_u equals
-    pi_t h_u times K^(1/2) on V^|s|, and the trace is tr(P_u P_v) with
-    both factors taken from the one cached list _pairing_maps.  The
+    intertwiners h_u: V^|s| -> V^|t| and h_v: V^|t| -> V^|s|.  Both
+    projected maps are intertwiners, pi_t h_u = sum_a M_t[u][a] h_a and
+    pi_s h_v = sum_b M_s[v][b] h'_b over the same bases, so by linearity
+    gram = M_t G M_s^T with G[a][b] = tr(K h_a h'_b): the coordinate rows
+    are cached per object and size (_projector_coordinates), and G is
+    shared by every pair of the same sizes (_gram_matrix).  The
     pairing of an image F(d) = sum_u c_u h_u is sum_u c_u gram[u][v]
     (_pairing_rows), and every Gram column is a combination of the pivot
     columns that the Gram rank's elimination finds, so the pairing's rank
@@ -448,9 +546,7 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    left = _pairing_maps(t, seq_size(s), mode)
-    right = _pairing_maps(s, seq_size(t), mode)
-    gram = [[_sparse_trace(x, y) for y in right] for x in left]
+    gram = _gram_matrix(s, t, mode)
     pivots = linalg.column_rank_profile(
         {v: x for v, x in enumerate(row) if not x.is_zero()} for row in gram)
     dim_rep = len(pivots)

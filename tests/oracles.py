@@ -14,7 +14,9 @@ on the dense lists in a itself, the functor on a simple diagram by
 composing elementary cap and cup layers, the pairing of functor
 images with intertwiners by tracing each composed image, not by its
 coordinates, Gram entries by tracing K pi_t h_u against pi_s h_v, not
-by splitting K into two square roots, and an object's cleared projector
+by splitting K into two square roots, the Gram matrix by tracing each
+projected intertwiner pair, not through projector coordinates and base
+Gram matrices, and an object's cleared projector
 by the full tensor product of its colors', not color by color, and
 intertwiner bases by solving the X and Y equations of each (k, l) on
 their own, with full generator matrices, not by bending the invariants
@@ -29,7 +31,8 @@ from math import comb, gcd
 from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
-from skeinrep.functor import (F_diagram, F_object, _cleared_projector,
+from skeinrep.functor import (F_diagram, F_object, _apply_colors,
+                              _cleared_projector, _projector_columns,
                               _simple_rep, rep_braiding, rep_coev, rep_ev,
                               rep_twist)
 from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
@@ -37,7 +40,8 @@ from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
                               _from_list, _list_divexact, _list_prem,
                               _list_primitive, _lmul, _lscale, _poly_divexact,
-                              _poly_gcd, _to_list, cyclotomic_poly)
+                              _poly_gcd, _to_list, cyclotomic_poly,
+                              times_a_power)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
@@ -677,6 +681,33 @@ def projected_intertwiners(s, l, mode=GENERIC):
     ps = tensor_cleared_projector(s, mode)
     return [pairwise_compose(ps, h)
             for h in rep_hom_basis(l, seq_size(s), mode)]
+
+
+@cache
+def half_weighted_projections(s, l, mode=GENERIC):
+    """P_v = K^(1/2) pi_s h_v for the maps h_v of rep_hom_basis(l, |s|):
+    pi_s = lambda_s f_s applied color by color to every entry of h_v
+    (_apply_colors), then target mask i weighted by a^w(i)."""
+    n = seq_size(s)
+    return [RepMap(l, n, {(i, j): times_a_power(v, mask_weight(i, n))
+                          for (i, j), v in _apply_colors(
+                              s, h.entries, _projector_columns, mode).items()},
+                   mode)
+            for h in rep_hom_basis(l, n, mode)]
+
+
+def trace_gram_matrix(s, t, mode=GENERIC):
+    """The Gram matrix of verify_equivalence by traces, the route that its
+    projector coordinates and shared base Gram matrices replace:
+    gram[u][v] = tr(P_u P_v) for the intertwiners h_u: V^|s| -> V^|t| and
+    h_v: V^|t| -> V^|s|, with P = K^(1/2) pi h each projected in full
+    (half_weighted_projections) and traced pairwise.  Every map preserves
+    weight, so this is tr(K pi_t h_u pi_s h_v)."""
+    s = object_seq(s, mode)
+    t = object_seq(t, mode)
+    right = half_weighted_projections(s, seq_size(t), mode)
+    return [[pairwise_trace(x, y) for y in right]
+            for x in half_weighted_projections(t, seq_size(s), mode)]
 
 
 def trace_pairing_matrix(s, t, mode=GENERIC):

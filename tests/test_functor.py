@@ -5,20 +5,22 @@ import random
 import pytest
 
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
-                     hom_dimension, layered_simple_rep, pairwise_compose,
+                     half_weighted_projections, hom_dimension,
+                     layered_simple_rep, pairwise_compose,
                      pairwise_linear_extension, pairwise_trace,
                      projected_intertwiners, scaled_denominator_clear,
                      tensor_cleared_projector, tensor_image_columns,
-                     trace_pairing_matrix, weighted_rows)
+                     trace_gram_matrix, trace_pairing_matrix, weighted_rows)
 from skeinrep import functor
 from skeinrep import linalg, uqsl2
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _image_columns,
-                              _object_projector, _pairing_maps,
-                              _pairing_rows, _simple_rep, _sparse_trace,
+                              _denominator_clear, _gram_matrix,
+                              _image_columns, _object_projector,
+                              _pairing_rows, _projector_coordinates,
+                              _simple_rep, _sparse_trace,
                               coefficient_b, mate_flat, mate_sharp,
                               quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
@@ -29,7 +31,8 @@ from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
                              seq_size)
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, cg_vector,
-                            elementary_morphisms, hw_projector, rep_hom_basis)
+                            elementary_morphisms, hw_projector, rep_hom_basis,
+                            rep_hom_coordinates)
 
 
 def _random_morphism(rng, k, l, mode):
@@ -292,7 +295,8 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     # basis is bent from the invariants entry by entry, so no RepMap is
     # ever tensored on the verify_equivalence path, from cold caches
     cached = [functor._color_projector, functor._cleared_projector,
-              functor._projector_columns, functor._pairing_maps,
+              functor._projector_columns, functor._projector_coordinates,
+              functor._base_gram, functor._coordinate_gram,
               uqsl2._rep_hom_basis, uqsl2._free_unknowns]
     for f in cached:
         f.cache_clear()
@@ -360,21 +364,31 @@ def _color_seqs(colors, max_size):
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
                                   RootMode(5)], ids=str)
 def test_fused_contractions_match_pairwise_oracles(mode):
-    # every pairing map P = K^(1/2) pi h that verify_equivalence builds,
-    # and the composed images K^(1/2) pi_t F(d), |s|+|t| <= 6
+    # every base Gram trace tr(K h_a h'_b) that verify_equivalence takes,
+    # k + l <= 6; then the color-projected factors K^(1/2) pi h of the
+    # trace oracle, each color applied on its own bits, against the full
+    # tensor projector, and the composed images K^(1/2) pi_t F(d),
+    # |s|+|t| <= 6
+    traces = 0
+    for k in range(7):
+        for l in range(k % 2, 7 - k, 2):
+            for x in rep_hom_basis(k, l, mode):
+                kx = weighted_rows(x, 2)
+                for y in rep_hom_basis(l, k, mode):
+                    assert _sparse_trace(kx, y) == pairwise_trace(kx, y)
+                    traces += 1
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 6)
-    traces = 0
     for s in seqs:
         for t in seqs:
             if seq_size(s) + seq_size(t) > 6:
                 continue
-            right = _pairing_maps(s, seq_size(t), mode)
+            right = half_weighted_projections(s, seq_size(t), mode)
             assert [y.entries for y in right] \
                 == [weighted_rows(y, 1).entries
                     for y in projected_intertwiners(s, seq_size(t), mode)]
             kp = weighted_rows(tensor_cleared_projector(t, mode), 1)
-            rows = list(_pairing_maps(t, seq_size(s), mode))
+            rows = list(half_weighted_projections(t, seq_size(s), mode))
             for d in good_type_diagrams(s, t):
                 td = kp.compose(_simple_rep(d, mode))
                 assert td.entries \
@@ -408,12 +422,11 @@ def test_pairing_by_coordinates_matches_trace_oracle(mode):
     entries = 0
     for s, t in pairs:
         s, t = object_seq(s, mode), object_seq(t, mode)
-        right = _pairing_maps(s, seq_size(t), mode)
-        gram = [[_sparse_trace(x, y) for y in right]
-                for x in _pairing_maps(t, seq_size(s), mode)]
+        gram = trace_gram_matrix(s, t, mode)
         want = _sparse_rows(trace_pairing_matrix(s, t, mode))
-        assert _pairing_rows(good_type_diagrams(s, t), gram,
-                             range(len(right)), mode) == want, (s, t)
+        columns = range(len(rep_hom_basis(seq_size(t), seq_size(s), mode)))
+        assert _pairing_rows(good_type_diagrams(s, t), gram, columns,
+                             mode) == want, (s, t)
         assert verify_equivalence(s, t, mode).matrix_rank \
             == linalg.rank(want), (s, t)
         entries += sum(map(len, want))
@@ -448,6 +461,61 @@ def test_gram_entries_match_the_full_k_weighted_trace(monkeypatch, mode):
                                    for x in left], (s, t)
             entries += len(left) * len(right)
     assert entries > 150
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
+                                  RootMode(5)], ids=str)
+def test_base_gram_matches_pairwise_traces(mode):
+    # every (k, l) with k + l <= 8, from cold caches: the objects of color
+    # 1 only have unit coordinate rows, so their Gram matrix is G(k, l),
+    # tr(K h_a h'_b) over the plain bases, as the library keeps it; it
+    # equals the pairwise trace, and the traces taken in each orientation
+    # on their own show G(l, k) = G(k, l)^T and G(k, k) symmetric
+    functor._base_gram.cache_clear()
+    functor._coordinate_gram.cache_clear()
+    want = {}
+    for k in range(9):
+        for l in range(k % 2, 9 - k, 2):
+            h_k, h_l = rep_hom_basis(k, l, mode), rep_hom_basis(l, k, mode)
+            want[k, l] = [[pairwise_trace(weighted_rows(x, 2), y)
+                           for y in h_l] for x in h_k]
+            assert _gram_matrix((1,) * k, (1,) * l, mode) == want[k, l]
+            assert functor._base_gram(k, l, mode) \
+                == {(a, b): x for a, row in enumerate(want[k, l])
+                    for b, x in enumerate(row)}, (k, l)
+    for k, l in want:
+        assert want[l, k] == _transpose(want[k, l]), (k, l)
+    assert all(want[k, k] == _transpose(want[k, k]) for k in range(5))
+    assert sum(len(g) * len(g[0]) for g in want.values()) > 400
+
+
+@pytest.mark.parametrize("s, t, mode",
+                         [((5,), (5,), GENERIC), ((5,), (5,), RootMode(19)),
+                          ((7, 3), (), RootMode(19)),
+                          ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), GENERIC)],
+                         ids=["5-5-generic", "5-5-root:19", "7,3-0-root:19",
+                              "1,1,1,1,1-1,1,1,1,1-generic"])
+def test_gram_matrix_matches_trace_oracle_at_size_ten(monkeypatch, s, t,
+                                                      mode):
+    grams = []
+
+    def spy(diagrams, gram, columns, mode):
+        grams.append(gram)
+        return _pairing_rows(diagrams, gram, columns, mode)
+
+    monkeypatch.setattr(functor, "_pairing_rows", spy)
+    functor._base_gram.cache_clear()
+    functor._coordinate_gram.cache_clear()
+    assert verify_equivalence(s, t, mode).verdict == "iso"
+    assert grams.pop() == trace_gram_matrix(s, t, mode)
+    if not t:
+        # pi_s kills every intertwiner, so no entry of G(10, 0) is traced
+        assert not functor._base_gram(10, 0, mode)
+        assert not functor._base_gram(0, 10, mode)
 
 
 def _escaped_image(monkeypatch, mode):
@@ -576,22 +644,29 @@ def test_image_columns_are_the_rank_profile_of_f_s():
                 == linalg.column_rank_profile(rows.values()), (mode, s)
 
 
+def _rebuilt_coordinates(s, l, mode):
+    # the nonzero coordinates of lambda_s f_s h_v, f_s built in full, by
+    # rep_hom_coordinates, which rebuilds each map from them exactly
+    return [{b: c for b, c in enumerate(rep_hom_coordinates(y))
+             if not c.is_zero()}
+            for y in projected_intertwiners(s, l, mode)]
+
+
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
                                   RootMode(5)], ids=str)
 def test_pairing_B_matches_the_full_tensor_projector(mode):
-    # every (s, l) with |s| + l <= 8, colors up to 5 generically: each
-    # color applied on its own bits, then K^(1/2), equals lambda_s f_s
-    # built in full, composed and weighted pairwise
+    # every (s, l) with |s| + l <= 8, colors up to 5 generically: each row
+    # of M_s, read at the free unknowns with each color applied on its own
+    # bits, is the coordinate row of lambda_s f_s h_v built in full
     colors = range(1, 6) if not mode.is_root else range(1, mode.r - 1)
     keys = [(s, l) for s in _color_seqs(colors, 8)
             for l in range(seq_size(s) % 2, 9 - seq_size(s), 2)]
-    maps = 0
+    rows = 0
     for s, l in keys:
-        want = [weighted_rows(y, 1).entries
-                for y in projected_intertwiners(s, l, mode)]
-        assert [y.entries for y in _pairing_maps(s, l, mode)] == want, (s, l)
-        maps += len(want)
-    assert maps > 150
+        want = _rebuilt_coordinates(s, l, mode)
+        assert _projector_coordinates(s, l, mode) == want, (s, l)
+        rows += sum(map(bool, want))
+    assert rows > 150
 
 
 @pytest.mark.parametrize("s, l, mode", [((5, 3), 2, GENERIC),
@@ -601,9 +676,8 @@ def test_pairing_B_matches_the_full_tensor_projector(mode):
                               "7,1-2-generic"])
 def test_pairing_B_matches_the_full_tensor_projector_at_size_ten(s, l,
                                                                  mode):
-    want = [weighted_rows(y, 1).entries
-            for y in projected_intertwiners(s, l, mode)]
-    assert [y.entries for y in _pairing_maps(s, l, mode)] == want
+    assert _projector_coordinates(s, l, mode) \
+        == _rebuilt_coordinates(s, l, mode)
 
 
 def test_image_columns_match_the_full_cleared_tensor():

@@ -13,11 +13,18 @@ on the order its rows arrive in, so every result is the same as in input
 order; only the cost changes.  A row that starts left of every stored row
 meets no stored row holding its pivot column, so the back-substitution
 that dominates input-order elimination mostly has nothing to do.
+
+:func:`certified_profile` stands in front of that elimination.  Given an
+exact upper bound on a matrix's rank and its image under a ring map into
+F_p (scalars.mod_map), it returns the columns independent mod p when
+there are as many as the bound, which proves the rank; otherwise it
+returns the exact column rank profile.  Either way the count is the exact
+rank.  No modular rank is reported unproven.
 """
 
 from __future__ import annotations
 
-from .scalars import _contract
+from .scalars import MOD_PRIME, _contract
 
 Vec = dict
 
@@ -151,3 +158,58 @@ def independent_subset(vectors) -> list:
     """Indices of the greedy (first independent) subset, in order: the
     column rank profile of the matrix whose columns are the vectors."""
     return column_rank_profile(transpose(vectors))
+
+
+# ---------------------------------------------------------------------------
+# the certificate in front of the exact routes
+
+def _mod_profile(images, bound: int) -> list:
+    """Pivot columns of a matrix over F_p, p = MOD_PRIME, given as dense
+    rows of ints, left to right and at most bound of them.  Each row keeps
+    only its columns from the current one on."""
+    p = MOD_PRIME
+    rows = [r for r in images if any(r)]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        if len(pivots) == bound:
+            break
+        i = next((i for i, r in enumerate(rows) if r[0]), None)
+        if i is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(i)
+        inv, tail = pow(pivot[0], -1, p), pivot[1:]
+        out = []
+        for r in rows:
+            x = r[0]
+            if x:
+                f = x * inv % p
+                r = [(y - f * z) % p for y, z in zip(r[1:], tail)]
+            else:
+                r = r[1:]
+            out.append(r)
+        rows = out
+        pivots.append(col)
+    return pivots
+
+
+def certified_profile(bound: int, images, rows) -> list:
+    """A column basis of a matrix M of rank at most bound, as ascending
+    column indices: its rank is their count.
+
+    images is phi(M) for a ring map phi from the field of M into F_p
+    (dense rows of ints), or None when phi is undefined on M; rows() gives
+    the sparse rows of M.  No ring map raises rank, so
+    rank_p(phi(M)) <= rank(M) <= bound.  When bound columns of phi(M) are
+    independent, the same columns of M are independent, and they number
+    rank(M): a basis, proven.  Otherwise M is eliminated exactly, and the
+    basis is column_rank_profile(rows()), so every count returned is the
+    exact rank.  Apart from its count, a certified basis need not be the
+    lexicographically first one."""
+    if bound == 0:
+        return []
+    if images is not None:
+        pivots = _mod_profile(images, bound)
+        if len(pivots) == bound:
+            return pivots
+    return column_rank_profile(rows())

@@ -26,7 +26,8 @@ Laurent = dict  # exponent (int) -> coefficient (int), zero coefficients absent
 
 
 class PoleError(ArithmeticError):
-    """A denominator vanished under specialization at a root of unity."""
+    """A denominator vanished under specialization: at a root of unity, or
+    mod p (mod_map)."""
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +710,69 @@ class RootMode(Mode):
 
 GENERIC = GenericMode()
 ScalarGeneric.mode = GENERIC    # every generic scalar is in Q(a)
+
+
+# ---------------------------------------------------------------------------
+# reduction mod p: a ring map phi from the field of a mode into F_p, defined
+# on every scalar whose denominator it does not send to zero, for the rank
+# certificate of linalg
+
+MOD_PRIME = 4611686005030104001     # prime; 931170240 = lcm(4r : r = 3..20)
+                                    # divides MOD_PRIME - 1
+MOD_POINT = 2718281828459045235     # phi(a) in generic mode
+_MOD_GENERATOR = 37                 # a primitive root mod MOD_PRIME
+
+
+class _ModPowers(dict):
+    # MOD_POINT^e mod MOD_PRIME by exponent, each computed once
+    def __missing__(self, e):
+        x = self[e] = pow(MOD_POINT, e, MOD_PRIME)
+        return x
+
+
+def mod_root(r: int) -> int | None:
+    """phi(a) in root mode r: an element of order exactly 4r mod MOD_PRIME,
+    so a root of Phi_{4r} there, or None when 4r does not divide
+    MOD_PRIME - 1 and no such element exists."""
+    if (MOD_PRIME - 1) % (4 * r):
+        return None
+    return pow(_MOD_GENERATOR, (MOD_PRIME - 1) // (4 * r), MOD_PRIME)
+
+
+@cache
+def mod_map(mode: Mode):
+    """phi for the field of mode, as a function from its scalars to ints
+    mod MOD_PRIME that raises PoleError where a denominator maps to zero;
+    None for a root order r with no element of order 4r mod MOD_PRIME.
+    Generic mode sends a to MOD_POINT by a cached power per exponent, root
+    mode sends a to mod_root(r) by a table of its powers."""
+    p = MOD_PRIME
+    if mode.is_root:
+        omega = mod_root(mode.r)
+        if omega is None:
+            return None
+        table = [pow(omega, i, p) for i in range(4 * mode.r)]
+
+        def phi(x):
+            n = sum(c * w for c, w in zip(x.coeffs, table))
+            if x.den != 1:
+                if not x.den % p:
+                    raise PoleError(f"denominator {x.den} vanishes mod p")
+                n *= pow(x.den, -1, p)
+            return n % p
+        return phi
+    powers = _ModPowers()
+
+    def phi(x):
+        n = sum(c * powers[e] for e, c in x.num.items())
+        if x.den != _ONE:
+            d = sum(c * powers[e] for e, c in x.den.items()) % p
+            if not d:
+                raise PoleError(f"denominator {format_laurent(x.den)} "
+                                f"vanishes at a = {MOD_POINT} mod p")
+            n *= pow(d, -1, p)
+        return n % p
+    return phi
 
 
 def parse_mode(text: str) -> Mode:

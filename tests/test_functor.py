@@ -441,11 +441,11 @@ def test_gram_entries_match_the_full_k_weighted_trace(monkeypatch, mode):
     # both factors built in full by the oracles, K never split in halves
     grams = []
 
-    def spy(diagrams, gram, columns, mode):
-        grams.append(gram)
-        return _pairing_rows(diagrams, gram, columns, mode)
+    def spy(s, t, mode):
+        grams.append(_gram_matrix(s, t, mode))
+        return grams[-1]
 
-    monkeypatch.setattr(functor, "_pairing_rows", spy)
+    monkeypatch.setattr(functor, "_gram_matrix", spy)
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 6)
     entries = 0
@@ -493,21 +493,24 @@ def test_base_gram_matches_pairwise_traces(mode):
     assert sum(len(g) * len(g[0]) for g in want.values()) > 400
 
 
-@pytest.mark.parametrize("s, t, mode",
-                         [((5,), (5,), GENERIC), ((5,), (5,), RootMode(19)),
-                          ((7, 3), (), RootMode(19)),
-                          ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), GENERIC)],
-                         ids=["5-5-generic", "5-5-root:19", "7,3-0-root:19",
-                              "1,1,1,1,1-1,1,1,1,1-generic"])
+SIZE_TEN = pytest.mark.parametrize(
+    "s, t, mode", [((5,), (5,), GENERIC), ((5,), (5,), RootMode(19)),
+                   ((7, 3), (), RootMode(19)),
+                   ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1), GENERIC)],
+    ids=["5-5-generic", "5-5-root:19", "7,3-0-root:19",
+         "1,1,1,1,1-1,1,1,1,1-generic"])
+
+
+@SIZE_TEN
 def test_gram_matrix_matches_trace_oracle_at_size_ten(monkeypatch, s, t,
                                                       mode):
     grams = []
 
-    def spy(diagrams, gram, columns, mode):
-        grams.append(gram)
-        return _pairing_rows(diagrams, gram, columns, mode)
+    def spy(s, t, mode):
+        grams.append(_gram_matrix(s, t, mode))
+        return grams[-1]
 
-    monkeypatch.setattr(functor, "_pairing_rows", spy)
+    monkeypatch.setattr(functor, "_gram_matrix", spy)
     functor._base_gram.cache_clear()
     functor._coordinate_gram.cache_clear()
     assert verify_equivalence(s, t, mode).verdict == "iso"
@@ -516,6 +519,99 @@ def test_gram_matrix_matches_trace_oracle_at_size_ten(monkeypatch, s, t,
         # pi_s kills every intertwiner, so no entry of G(10, 0) is traced
         assert not functor._base_gram(10, 0, mode)
         assert not functor._base_gram(0, 10, mode)
+
+
+# ---------------------------------------------------------------------------
+# the rank certificate against exact elimination
+
+def _spy_certificate(monkeypatch):
+    """Each call of linalg.certified_profile as (basis, rows, exact), exact
+    telling whether it took the exact route, column_rank_profile."""
+    calls, exact = [], []
+    certify, eliminate = linalg.certified_profile, linalg.column_rank_profile
+
+    def exact_spy(rows):
+        exact.append(rows)
+        return eliminate(rows)
+
+    def spy(bound, images, rows):
+        exact.clear()
+        calls.append((certify(bound, images, rows), rows, bool(exact)))
+        return calls[-1][0]
+
+    monkeypatch.setattr(linalg, "column_rank_profile", exact_spy)
+    monkeypatch.setattr(linalg, "certified_profile", spy)
+    return calls
+
+
+def _assert_certified_ranks_are_exact(calls, s, t, mode):
+    """verify_equivalence reports the ranks of exact elimination alone
+    (the Gram rank profile, then the pairing read on its pivot columns),
+    and every basis it was given is independent and spans, checked
+    exactly: it is the exact route's own, or the rank of the matrix on its
+    columns is its size, which is the exact rank.  Returns the (Gram,
+    pairing) exact-route flags, the Gram's None at a root or for an empty
+    Gram matrix (odd |s| + |t|), which is not certified."""
+    calls.clear()
+    report = verify_equivalence(s, t, mode)
+    gram = _gram_matrix(s, t, mode)
+    pivots = linalg.column_rank_profile(_sparse_rows(gram))
+    pairing = linalg.column_rank_profile(
+        _pairing_rows(good_type_diagrams(s, t), gram, pivots, mode))
+    assert (report.dim_rep_side, report.matrix_rank) \
+        == (len(pivots), len(pairing)), (s, t)
+    certified_gram = bool(gram) and not mode.is_root
+    assert len(calls) == 1 + certified_gram, (s, t)
+    for (basis, rows, _), exact in zip(calls, [pivots, pairing][-len(calls):]):
+        assert len(basis) == len(exact), (s, t)
+        if basis != exact:
+            kept = [{j: r[v] for j, v in enumerate(basis) if v in r}
+                    for r in rows()]
+            assert linalg.rank(kept) == len(basis), (s, t)
+    flags = [exact for _, _, exact in calls]
+    return flags if certified_gram else [None] + flags
+
+
+@pytest.mark.parametrize("mode, gram_exact", [
+    (GENERIC, 166), (RootMode(3), None), (RootMode(4), None),
+    (RootMode(5), None)], ids=str)
+def test_certified_ranks_match_exact_elimination_on_criteria_6_and_7(
+        monkeypatch, mode, gram_exact):
+    # every pair of criterion 6 (generic) or 7 (root): the certificate
+    # closes on all but gram_exact nonempty Gram matrices and on every
+    # pairing; a root's Gram matrix is eliminated exactly
+    calls = _spy_certificate(monkeypatch)
+    colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
+    seqs = _color_seqs(colors, 8)
+    flags = [_assert_certified_ranks_are_exact(calls, s, t, mode)
+             for s in seqs for t in seqs
+             if seq_size(s) + seq_size(t) <= 8]
+    assert len(flags) == {None: 963, 3: 45, 4: 512, 5: 963}[mode.r]
+    assert sum(pairing for _, pairing in flags) == 0
+    assert (None if mode.is_root else sum(g or 0 for g, _ in flags)) \
+        == gram_exact
+
+
+@SIZE_TEN
+def test_certified_ranks_match_exact_elimination_at_size_ten(
+        monkeypatch, s, t, mode):
+    calls = _spy_certificate(monkeypatch)
+    gram, pairing = _assert_certified_ranks_are_exact(calls, s, t, mode)
+    assert (gram, pairing) == (None if mode.is_root else False, False)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(5)], ids=str)
+def test_unmapped_entries_take_the_exact_route(monkeypatch, mode):
+    # with phi undefined on every scalar, as where a denominator vanishes
+    # mod p, both ranks come from exact elimination alone
+    def undefined(x):
+        raise PoleError("denominator vanishes mod p")
+
+    monkeypatch.setattr(functor, "mod_map", lambda mode: undefined)
+    calls = _spy_certificate(monkeypatch)
+    for s, t in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 1, 1), (3,))]:
+        gram, pairing = _assert_certified_ranks_are_exact(calls, s, t, mode)
+        assert pairing and gram in (None, True), (s, t)
 
 
 def _escaped_image(monkeypatch, mode):

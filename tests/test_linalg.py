@@ -3,7 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import input_order_elimination, intertwiner_system
 from skeinrep import linalg
-from skeinrep.scalars import GENERIC, RootMode
+from skeinrep.scalars import (GENERIC, MOD_POINT, MOD_PRIME, PoleError,
+                              RootMode, ScalarCyclotomic, ScalarGeneric,
+                              mod_map)
 
 
 def _vec(mode, *entries):
@@ -165,3 +167,90 @@ def _sparse_matrix(draw):
 def test_batch_routes_match_input_order_on_shuffled_matrices(case):
     mode, ncols, rows = case
     _assert_matches_input_order(rows, ncols, mode)
+
+
+# ---------------------------------------------------------------------------
+# the rank certificate
+
+def _spy_exact(monkeypatch):
+    # the matrices that reach the exact route, column_rank_profile
+    seen = []
+    eliminate = linalg.column_rank_profile
+
+    def spy(rows):
+        seen.append(rows)
+        return eliminate(rows)
+
+    monkeypatch.setattr(linalg, "column_rank_profile", spy)
+    return seen
+
+
+def _certify(rows, ncols, bound, mode):
+    # certified_profile as verify_equivalence calls it: the dense image of
+    # the matrix under mod_map, or None where a denominator vanishes
+    phi = mod_map(mode)
+    try:
+        images = [[phi(r[j]) if j in r else 0 for j in range(ncols)]
+                  for r in rows]
+    except PoleError:
+        images = None
+    return linalg.certified_profile(bound, images, lambda: rows)
+
+
+def test_certificate_proves_full_rank_without_elimination(monkeypatch):
+    exact = _spy_exact(monkeypatch)
+    for m in (GENERIC, RootMode(5)):
+        a = m.a_power(1)
+        # determinant 1 - a^2, nonzero
+        assert _certify([{0: m.one(), 1: a}, {0: a, 1: m.one()}], 2, 2,
+                        m) == [0, 1]
+        # rank 2 of 3 columns, the first two dependent: a basis, not
+        # necessarily the lexicographic one, without elimination
+        rows = [{0: m.one(), 1: a, 2: m.one()}, {0: a, 1: a * a}]
+        assert _certify(rows, 3, 2, m) == [0, 2]
+    assert not exact
+
+
+def test_vanishing_denominator_takes_the_exact_route(monkeypatch):
+    generic = ScalarGeneric({0: 1}, {0: -MOD_POINT, 1: 1})  # 1/(a - a0)
+    root = ScalarCyclotomic(RootMode(5), (1, 1), MOD_PRIME)
+    for x in (generic, root):
+        with pytest.raises(PoleError):
+            mod_map(x.mode)(x)
+        exact = _spy_exact(monkeypatch)
+        assert _certify([{0: x}], 1, 1, x.mode) == [0]
+        assert len(exact) == 1
+        monkeypatch.undo()
+
+
+def test_unclosed_bound_takes_the_exact_route(monkeypatch):
+    exact = _spy_exact(monkeypatch)
+    m = GENERIC
+    one = m.one()
+    # a - a0 is nonzero but maps to zero mod p: rank_p 0 < 1
+    assert _certify([{0: ScalarGeneric({0: -MOD_POINT, 1: 1}, {0: 1})}],
+                    1, 1, m) == [0]
+    # a bound above the rank never closes
+    assert _certify([{0: one, 1: one}, {0: one, 1: one}], 2, 2, m) == [0]
+    assert len(exact) == 2
+    # no element of order 4r mod p at r = 23, so no image at all
+    mode = RootMode(23)
+    assert mod_map(mode) is None
+    assert linalg.certified_profile(1, None, lambda: [{0: mode.one()}]) \
+        == [0]
+    assert len(exact) == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_matrix())
+def test_certified_bases_are_exact_bases(case):
+    # under the exact rank or the shape as the bound, a certified basis is
+    # independent, checked exactly, and numbers the exact rank
+    mode, ncols, rows = case
+    rank = linalg.rank(rows)
+    for bound in (rank, min(len(rows), ncols)):
+        basis = _certify(rows, ncols, bound, mode)
+        assert len(basis) == rank
+        kept = [{j: r[v] for j, v in enumerate(basis) if v in r}
+                for r in rows]
+        assert linalg.rank(kept) == rank

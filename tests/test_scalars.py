@@ -1,4 +1,8 @@
+import ast
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,12 +11,15 @@ from oracles import (dense_poly_divexact, dense_poly_gcd, pairwise_add,
                      pairwise_mul, pairwise_row_update, pairwise_truediv,
                      xgcd_inverse)
 from skeinrep.linalg import vec_sub_scaled
-from skeinrep.scalars import (GENERIC, PoleError, RootMode, ScalarCyclotomic,
-                              ScalarGeneric, _contract, _cyclo_reduce,
-                              _lcm_step, _lmul, _lshift, _poly_divexact,
-                              _poly_gcd, clear_denominators, cyclotomic_poly,
-                              format_scalar, parse_mode, parse_scalar,
-                              specialize, times_a_power)
+from skeinrep.cli import MAX_ROOT
+from skeinrep.scalars import (GENERIC, MOD_POINT, MOD_PRIME,
+                              _MOD_GENERATOR, PoleError, RootMode,
+                              ScalarCyclotomic, ScalarGeneric, _contract,
+                              _cyclo_reduce, _lcm_step, _lmul, _lshift,
+                              _poly_divexact, _poly_gcd, clear_denominators,
+                              cyclotomic_poly, format_scalar, mod_map,
+                              mod_root, parse_mode, parse_scalar, specialize,
+                              times_a_power)
 
 
 def test_generic_ring_relations():
@@ -589,3 +596,61 @@ def test_sums_over_shared_factors_are_cancelled(terms):
         want = pairwise_add(want, x)
     _same_form(got, want)
     _assert_generic_canonical(got, sympy, a)
+
+
+# ---------------------------------------------------------------------------
+# reduction mod p, the ring map of the rank certificate
+
+ROOT = Path(__file__).parents[1]
+
+
+def _perfbench_constants() -> dict:
+    # PRIME and GENERIC_POINT of the benchmark's own GF(p) rank check, read
+    # from its source without importing it
+    tree = ast.parse((ROOT / "perfbench" / "checks.py").read_text())
+    return {t.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name)
+            and t.id in ("PRIME", "GENERIC_POINT")}
+
+
+def test_mod_p_constants():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(MOD_PRIME) and MOD_PRIME.bit_length() == 62
+    assert sympy.is_primitive_root(_MOD_GENERATOR, MOD_PRIME)
+    assert 0 < MOD_POINT < MOD_PRIME
+    for r in range(3, MAX_ROOT + 1):
+        order = 4 * r
+        assert (MOD_PRIME - 1) % order == 0, r
+        w = mod_root(r)
+        assert pow(w, order, MOD_PRIME) == 1, r
+        assert all(pow(w, order // q, MOD_PRIME) != 1
+                   for q in sympy.primefactors(order)), r
+    # so w is a root of Phi_4r mod p, and phi a ring map from Z[zeta_4r]
+    assert mod_root(23) is None and mod_map(RootMode(23)) is None
+    bench = _perfbench_constants()
+    assert set(bench) == {"PRIME", "GENERIC_POINT"}
+    assert MOD_PRIME != bench["PRIME"]
+    assert MOD_POINT != bench["GENERIC_POINT"]
+
+
+def test_cli_import_leaves_sympy_out():
+    code = "import sys, skeinrep.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT / "src")
+    assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mod_map_is_a_ring_map(mode, data):
+    phi, p = mod_map(mode), MOD_PRIME
+    x, y = data.draw(_draw_scalar(mode)), data.draw(_draw_scalar(mode))
+    assert phi(x + y) == (phi(x) + phi(y)) % p
+    assert phi(x * y) == phi(x) * phi(y) % p
+    assert phi(mode.one()) == 1 and phi(mode.zero()) == 0
+    if not y.is_zero():
+        assert phi(x / y) * phi(y) % p == phi(x)
+    assert phi(mode.a_power(1)) \
+        == (mod_root(mode.r) if mode.is_root else MOD_POINT)

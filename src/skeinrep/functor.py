@@ -24,11 +24,11 @@ from .scalars import GENERIC, MOD_PRIME, Mode, PoleError, _contract, \
     clear_denominators, mod_map, times_a_power
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism
-from .tl_category import jones_wenzl
 from .turaev import good_type_diagrams, hom_basis, object_seq, \
     purified_hom_dim, seq_size
 from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
-    elementary_morphisms, mask_weight, rep_hom_basis, rep_hom_coordinates
+    elementary_morphisms, hw_projector, mask_weight, rep_hom_basis, \
+    rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +76,10 @@ def F_diagram(f: TLMorphism) -> RepMap:
 # ---------------------------------------------------------------------------
 # object images: the projector f_s and a basis of its image
 
-@cache
-def _color_projector(k: int, mode: Mode) -> RepMap:
-    return F_diagram(jones_wenzl(k, mode).morphism)
-
-
 def _object_projector(s: tuple, mode: Mode) -> RepMap:
     """f_s = f_{s_1} (x) ... (x) f_{s_m}, built in full for F_object only;
     every other use applies it color by color (_apply_colors)."""
-    return reduce(RepMap.tensor, [_color_projector(k, mode) for k in s]
+    return reduce(RepMap.tensor, [hw_projector(k, mode) for k in s]
                   or [RepMap.identity(0, mode)])
 
 
@@ -95,25 +90,23 @@ def _cleared_projector(k: int, mode: Mode) -> RepMap:
     product, never built: (A (x) B) X = (A (x) 1)(1 (x) B) X, so each color
     acts on its own bits (_apply_colors).  Ranks, rank profiles and
     coordinates against maps scaled alike do not see lambda_s."""
-    return _denominator_clear(_color_projector(k, mode))
+    return _denominator_clear(hw_projector(k, mode))
 
 
-@cache
-def _color_columns(k: int, mode: Mode) -> list:
-    # the first linearly independent columns of f_k, read off lambda_k f_k
-    rows: dict = {}
-    for (i, j), v in _cleared_projector(k, mode).entries.items():
-        rows.setdefault(i, {})[j] = v
-    return linalg.column_rank_profile(rows.values())
+def _color_columns(k: int) -> list:
+    # the first linearly independent columns of f_k: f_k has rank one on
+    # each weight block and no zero entry inside one, so block j's first
+    # independent column is its smallest mask, the j low bits set
+    return [(1 << j) - 1 for j in range(k + 1)]
 
 
-def _image_columns(s: tuple, mode: Mode) -> list:
+def _image_columns(s: tuple) -> list:
     """The first linearly independent columns of f_s, ascending.
     RREF(A (x) B) = RREF(A) (x) RREF(B), so they are the products of each
     color's own."""
     cols = [0]
     for k in s:
-        cols = [c << k | j for c in cols for j in _color_columns(k, mode)]
+        cols = [c << k | j for c in cols for j in _color_columns(k)]
     return cols
 
 
@@ -131,7 +124,7 @@ def _kept_projector_rows(k: int, mode: Mode) -> dict:
     # (lambda_k f_k C_k)^T by column, as _apply_colors takes it:
     # b -> [(j, x)] for each entry x of lambda_k f_k at (b, j), j an image
     # column of f_k
-    keep = set(_color_columns(k, mode))
+    keep = set(_color_columns(k))
     rows: dict = {}
     for (b, j), x in _cleared_projector(k, mode).entries.items():
         if j in keep:
@@ -180,7 +173,7 @@ def F_object(s, mode: Mode = GENERIC) -> dict:
     for (i, j), v in proj.entries.items():
         cols.setdefault(j, {})[i] = v
     k = seq_size(s)
-    basis = [TensorVector(k, cols[j], mode) for j in _image_columns(s, mode)]
+    basis = [TensorVector(k, cols[j], mode) for j in _image_columns(s)]
     return {"projector": proj, "basis": basis}
 
 

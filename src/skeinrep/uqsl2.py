@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .scalars import GENERIC, Mode, PoleError, _contract
+from .scalars import GENERIC, Mode, PoleError, _contract, times_a_power
 from .linalg import kernel_basis, rref_rows
 
 
@@ -534,43 +534,39 @@ def _invariant_system(n: int, mode: Mode):
 
 def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
     """Idempotent fixing the top isotypic component of V^{(x)n} and killing
-    every component of lower highest weight.
+    every component of lower highest weight: the q-symmetrizer, in closed
+    form (Frenkel-Khovanov, Duke Math. J. 87 (1997)).
 
-    Built from highest-weight bases and their Y-orbits; independent of any
-    diagram-side computation.  With C the matrix of orbit columns, one
-    exact RREF takes [C | I] to [I | C^-1]; the projector is C restricted
-    to the top orbits times the matching rows of C^-1.
+    On the weight space of the masks with j ones it has rank one: with
+    inv(m) the number of bit pairs 1 ... 0 of m read left to right, its
+    entry at (i, i') is q^(inv(i) + inv(i')) / D_j for
+    D_j = sum_{|m| = j} q^(2 inv(m)) = q^(j(n-j)) [n choose j]_q.  At a
+    root of order r it is built only below r, where V^{(x)n} is semisimple
+    and every D_j is nonzero; from n = r on ValueError is raised
+    (D_1 = q^(r-1) [r]_q vanishes at n = r, though at n = 2r - 1 no D_j
+    does).
     """
     if n < 1:
         raise ValueError("rank must be >= 1")
-    size = 1 << n
-    cols: list = []
-    top_count = 0
-    for k in range(n, -1, -2):
-        for hw in highest_weight_basis(n, k, mode):
-            u = hw.vector
-            for _ in range(k + 1):
-                cols.append(u)
-                u = act("Y", u)
-        if k == n:
-            top_count = len(cols)
-        if k == 0:
-            break
-    if len(cols) != size:
-        raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
-    rows = [{size + i: mode.one()} for i in range(size)]
-    for t, col in enumerate(cols):
-        for i, x in col.components.items():
-            rows[i][t] = x
-    inverse = rref_rows(rows)
-    # [C | I] has rank size, so C is invertible iff its pivots are 0..size-1
-    if min(inverse[-1]) >= size:
-        raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
-    pairs: dict = {}
-    for t in range(top_count):
-        for j, c in inverse[t].items():
-            if j >= size:
-                for i, x in cols[t].components.items():
-                    pairs.setdefault((i, j - size), []).append((c, x))
-    return RepMap(n, n, {key: _contract(ps, mode) for key, ps in pairs.items()},
-                  mode)
+    if mode.is_root and n >= mode.r:
+        raise ValueError(
+            f"no top-summand projector on {n} strands in mode {mode}")
+    # appending a last bit 0 to a mask adds one inversion per 1 before it
+    inv = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        inv[m] = inv[m >> 1] + (0 if m & 1 else (m >> 1).bit_count())
+    blocks: list = [[] for _ in range(n + 1)]
+    for m in range(1 << n):
+        blocks[m.bit_count()].append(m)
+    one = mode.one()
+    entries = {}
+    for j in range(n // 2 + 1):
+        d = _contract([(mode.a_power(4 * inv[m]), one) for m in blocks[j]],
+                      mode)
+        d = d if d.is_one() else d.inv()
+        # D_{n-j} = D_j: reversing and complementing a mask keeps inv(m)
+        for jj in {j, n - j}:
+            for i in blocks[jj]:
+                for i2 in blocks[jj]:
+                    entries[i, i2] = times_a_power(d, 2 * (inv[i] + inv[i2]))
+    return RepMap(n, n, entries, mode)

@@ -4,7 +4,8 @@ Everything here recomputes an expected value by a route disjoint from the
 implementation under test: brackets by brute-force state enumeration with
 union-find circle counting, hom dimensions by Clebsch-Gordan fusion counts,
 matchings by direct recursive chord placement on the boundary circle,
-Jones-Wenzl projectors by the two-sided Wenzl recursion, quantum traces
+Jones-Wenzl projectors by the two-sided Wenzl recursion, the top-summand
+projector of V^(x)n by inverting its matrix of Y-orbits, quantum traces
 by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
 functor's linear extension by pairwise scalar products and sums, the
@@ -36,18 +37,18 @@ from skeinrep.functor import (F_diagram, F_object, _apply_colors,
                               _simple_rep, rep_braiding, rep_coev, rep_ev,
                               rep_twist)
 from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
-                             vec_scale, vec_sub_scaled)
+                             rref_rows, vec_scale, vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
-                              _from_list, _list_divexact, _list_prem,
-                              _list_primitive, _lmul, _lscale, _poly_divexact,
-                              _poly_gcd, _to_list, cyclotomic_poly,
-                              times_a_power)
+                              _contract, _from_list, _list_divexact,
+                              _list_prem, _list_primitive, _lmul, _lscale,
+                              _poly_divexact, _poly_gcd, _to_list,
+                              cyclotomic_poly, times_a_power)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
                              seq_size)
 from skeinrep.uqsl2 import (RepMap, TensorVector, act, elementary_morphisms,
-                            mask_weight, rep_hom_basis)
+                            highest_weight_basis, mask_weight, rep_hom_basis)
 
 
 def catalan(n: int) -> int:
@@ -220,6 +221,48 @@ def wenzl_jones_wenzl(k: int, mode=GENERIC) -> TLMorphism:
     ext = tensor(wenzl_jones_wenzl(k - 1, mode), identity_morphism(1, mode))
     return ext - compose(ext, compose(e_generator(k - 1, k, mode),
                                       ext)).scale(ratio)
+
+
+def orbit_hw_projector(n: int, mode=GENERIC) -> RepMap:
+    """The idempotent fixing the top isotypic component of V^{(x)n} and
+    killing every lower one, from highest-weight bases and their Y-orbits,
+    not by the closed form of hw_projector.  With C the matrix of orbit
+    columns, one exact RREF takes [C | I] to [I | C^-1]; the projector is C
+    restricted to the top orbits times the matching rows of C^-1.
+    """
+    if n < 1:
+        raise ValueError("rank must be >= 1")
+    size = 1 << n
+    cols: list = []
+    top_count = 0
+    for k in range(n, -1, -2):
+        for hw in highest_weight_basis(n, k, mode):
+            u = hw.vector
+            for _ in range(k + 1):
+                cols.append(u)
+                u = act("Y", u)
+        if k == n:
+            top_count = len(cols)
+        if k == 0:
+            break
+    if len(cols) != size:
+        raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
+    rows = [{size + i: mode.one()} for i in range(size)]
+    for t, col in enumerate(cols):
+        for i, x in col.components.items():
+            rows[i][t] = x
+    inverse = rref_rows(rows)
+    # [C | I] has rank size, so C is invertible iff its pivots are 0..size-1
+    if min(inverse[-1]) >= size:
+        raise ValueError(f"tensor power is not spanned by Y-orbits in mode {mode}")
+    pairs: dict = {}
+    for t in range(top_count):
+        for j, c in inverse[t].items():
+            if j >= size:
+                for i, x in cols[t].components.items():
+                    pairs.setdefault((i, j - size), []).append((c, x))
+    return RepMap(n, n, {key: _contract(ps, mode) for key, ps in pairs.items()},
+                  mode)
 
 
 def input_order_elimination(rows, ncols: int, one) -> dict:

@@ -6,13 +6,14 @@ import pytest
 
 from oracles import (categorical_trace_rep, full_projector_hom_matrix,
                      half_weighted_projections, hom_dimension,
-                     layered_simple_rep, pairwise_compose,
-                     pairwise_linear_extension, pairwise_trace,
-                     projected_intertwiners, scaled_denominator_clear,
-                     tensor_cleared_projector, tensor_image_columns,
-                     trace_gram_matrix, trace_pairing_matrix, weighted_rows)
+                     layered_simple_rep, orbit_hw_projector,
+                     pairwise_compose, pairwise_linear_extension,
+                     pairwise_trace, projected_intertwiners,
+                     scaled_denominator_clear, tensor_cleared_projector,
+                     tensor_image_columns, trace_gram_matrix,
+                     trace_pairing_matrix, weighted_rows)
 from skeinrep import functor
-from skeinrep import linalg, uqsl2
+from skeinrep import cli, linalg, tl_category, uqsl2
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
@@ -78,11 +79,18 @@ def test_functor_respects_composition_and_tensor():
 
 
 def test_jones_wenzl_maps_to_hw_projector():
-    for n in range(1, 5):
-        assert F_diagram(jones_wenzl(n).morphism) == hw_projector(n)
-    mode = RootMode(5)
-    for n in range(1, 4):
-        assert F_diagram(jones_wenzl(n, mode).morphism) == hw_projector(n, mode)
+    # the closed-form q-symmetrizer is the functor's image of f_n
+    roots = [(RootMode(r), range(1, r)) for r in (3, 4, 5, 8)]
+    for mode, ns in [(GENERIC, range(1, 8)), *roots, (RootMode(19), (7,)),
+                     (RootMode(20), (7,))]:
+        for n in ns:
+            assert F_diagram(jones_wenzl(n, mode).morphism) \
+                == hw_projector(n, mode), (mode, n)
+    # and the Y-orbit projector, which takes 5 s at generic n = 7
+    for mode, ns in [(GENERIC, range(1, 7)), *roots]:
+        for n in ns:
+            assert orbit_hw_projector(n, mode) == hw_projector(n, mode), \
+                (mode, n)
 
 
 def test_ribbon_structure_transport():
@@ -294,7 +302,7 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     # each color's projector acts on its own bits and each intertwiner
     # basis is bent from the invariants entry by entry, so no RepMap is
     # ever tensored on the verify_equivalence path, from cold caches
-    cached = [functor._color_projector, functor._cleared_projector,
+    cached = [functor._cleared_projector,
               functor._projector_columns, functor._projector_coordinates,
               functor._base_gram, functor._coordinate_gram,
               uqsl2._rep_hom_basis, uqsl2._free_unknowns]
@@ -309,6 +317,21 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
         r = verify_equivalence((2, 3), (3, 2), mode)
     assert r.verdict == "iso"
     assert functor._cleared_projector.cache_info().currsize == 2
+    if mode.is_root:
+        return      # purified_hom_dim builds the diagram-side projectors
+    # generically the object projectors come from representation theory
+    # alone: no Jones-Wenzl projector is built, of any color
+
+    def no_projector(*args):
+        raise AssertionError("a Jones-Wenzl projector was built")
+
+    with monkeypatch.context() as m:
+        for name in ("jones_wenzl", "_jones_wenzl"):
+            m.setattr(tl_category, name, no_projector)
+        m.setattr(cli, "jones_wenzl", no_projector)
+        r = verify_equivalence((4,), (2, 2), mode)
+    assert (r.dim_diagram_side, r.dim_rep_side, r.matrix_rank) == (1, 1, 1)
+    assert r.verdict == "iso"
 
 
 def test_verify_equivalence_past_size_eight():
@@ -736,7 +759,7 @@ def test_image_columns_are_the_rank_profile_of_f_s():
             rows: dict = {}
             for (i, j), v in F_object(s, mode)["projector"].entries.items():
                 rows.setdefault(i, {})[j] = v
-            assert _image_columns(s, mode) \
+            assert _image_columns(s) \
                 == linalg.column_rank_profile(rows.values()), (mode, s)
 
 
@@ -783,7 +806,7 @@ def test_image_columns_match_the_full_cleared_tensor():
     for mode, colors in [(GENERIC, range(1, 8)), (RootMode(4), (1, 2)),
                          (RootMode(5), (1, 2, 3))]:
         for s in _color_seqs(colors, 7):
-            assert _image_columns(s, mode) \
+            assert _image_columns(s) \
                 == tensor_image_columns(s, mode), (mode, s)
             count += 1
     assert count > 150

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import (direct_rep_hom_basis, generator_matrix, hom_dimension,
-                     hw_multiplicity, intertwiner_system)
+                     hw_multiplicity, intertwiner_system, orbit_hw_projector)
 from skeinrep import uqsl2
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, act, act_Y_power,
@@ -287,3 +287,12 @@ def test_hw_projector_properties():
                 assert p.apply(hv.vector).is_zero()
     with pytest.raises(ValueError):
         hw_projector(0, m)
+    # no top-summand idempotent from n = r on at a root, as for the
+    # Y-orbit route; at n = 2r - 1 no D_j vanishes, yet it is refused too
+    for r in (3, 4, 5):
+        for n in (r, r + 1):
+            with pytest.raises(ValueError):
+                orbit_hw_projector(n, RootMode(r))
+        for n in (r, r + 1, 2 * r - 1):
+            with pytest.raises(ValueError):
+                hw_projector(n, RootMode(r))

@@ -22,16 +22,17 @@ from .functor import FunctorReport, verify_equivalence
 
 
 # Larger inputs run for many seconds to minutes, so they are refused with
-# one error line.  Cold jw 9 takes 1.5 to 1.9 s generically (0.8 to 1.0 s
-# at r = 19), and jones_wenzl(10) 6.3 to 7.4 s in-process.
+# one error line.  Cold jw 9 takes 1.5 to 2.2 s generically (0.8 to 1.0 s
+# at r = 19), and jones_wenzl(10) 5.2 to 5.9 s in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis: generic
 # and in-process, homdim 6 6 takes 7 to 9 s, homdim 1,1,1,1,1,1
 # 1,1,1,1,1,1 8 to 10 s (its 132 x 132 Gram rank, proven mod p, 0.2 s of
 # it) and homdim 7,5 0 4.2 s; the intertwiner solve alone takes up to
 # 6.3 s at r = 19.
 # At a root every scalar grows with deg Phi_4r: the slowest admitted
-# homdim is the all-ones 5-strand pair, 1.3 to 1.9 s cold at r = 19 (the
-# largest degree admitted).  Cold homdim 7,3 0 takes 0.33 to 0.44 s
+# query is the all-ones 5-strand pair, 1.3 to 1.9 s cold at r = 19 (the
+# largest degree admitted; 2.2 to 2.6 s on a loaded machine where jw 9
+# took 1.6 to 2.0 s).  Cold homdim 7,3 0 takes 0.33 to 0.44 s
 # generically and 0.8 to 0.9 s at r = 19, homdim 3,7 0, 7,2,1 0 and
 # 6,4 0 0.75 to 1.1 s at r = 19 (2-CPU x86-64 machine).
 MAX_JW = 9          # largest projector of the jw command

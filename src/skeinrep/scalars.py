@@ -99,26 +99,6 @@ def _list_divexact(f: list, g: list) -> list:
     return q
 
 
-def _list_prem(f: list, g: list) -> list:
-    # pseudo-remainder of f by g (both little-endian, g nonzero)
-    f = list(f)
-    dg = len(g) - 1
-    lg = g[-1]
-    while len(f) - 1 >= dg and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if len(f) - 1 < dg:
-            break
-        lf = f[-1]
-        shift = len(f) - 1 - dg
-        f = [c * lg for c in f]
-        for j, gj in enumerate(g):
-            f[shift + j] -= lf * gj
-        while f and f[-1] == 0:
-            f.pop()
-    return f
-
-
 def _list_primitive(f: list) -> list:
     c = gcd(*f)
     if c == 0:
@@ -128,36 +108,73 @@ def _list_primitive(f: list) -> list:
     return [v // c for v in f]
 
 
-def _poly_gcd(f: Laurent, g: Laurent) -> Laurent:
-    """gcd in Z[a] of two polynomials with min exponent 0 (content included,
-    positive leading coefficient).  Polynomials in x = a^s are worked in x,
-    since gcd(f(x^s), g(x^s)) = gcd(f, g)(x^s): the dense lists of the
-    remainder sequence then carry no zero between the powers of x."""
-    if not f:
-        return _normalize_sign(g)
-    if not g:
-        return _normalize_sign(f)
+def _list_eval(f: list, x: int) -> int:
+    n = 0
+    for c in reversed(f):
+        n = n * x + c
+    return n
+
+
+def _list_gcd(u: list, v: list) -> tuple:
+    """(h, u / h, v / h) for h the gcd of primitive u and v with positive
+    leads, by the heuristic gcd GCDHEU (Char, Geddes & Gonnet 1989): h is
+    the primitive part of the symmetric xi-adic digits of the integer
+    gcd(u(xi), v(xi)), and divides both exactly, which proves it is the
+    gcd once xi >= 2 min(|u|, |v|) + 2 (sup norms).  A constant h is the
+    gcd 1 as it stands.  On an inexact division xi grows: a spurious
+    factor of the integer gcd divides the resultant of the cofactors, so
+    a large enough xi rebuilds a multiple of the gcd and the loop ends."""
+    # CGG's start, above the bound so that few small points need to grow
+    xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 29
+    while True:
+        n = gcd(_list_eval(u, xi), _list_eval(v, xi))
+        if 2 * n <= xi:         # one digit
+            return [1], u, v
+        h = []
+        while n:
+            d = n % xi
+            if 2 * d > xi:
+                d -= xi
+            h.append(d)
+            n = (n - d) // xi
+        h = _list_primitive(h)
+        try:
+            return h, _list_divexact(u, h), _list_divexact(v, h)
+        except ArithmeticError:
+            xi = xi * 73794 // 27011    # CGG's growth, about 1 + sqrt(3)
+
+
+def _gcd_cofactors(f: Laurent, g: Laurent) -> tuple:
+    """(h, f / h, g / h) for h = gcd(f, g) in Z[a], f and g nonzero
+    polynomials with min exponent 0: h has positive leading coefficient
+    and content gcd(content f, content g), so the cofactors keep the signs
+    of f and g.  Polynomials in x = a^s are worked in x, since
+    gcd(f(x^s), g(x^s)) = gcd(f, g)(x^s); the gcd of the primitive parts
+    is _list_gcd's, and a gcd 1 returns f and g themselves."""
     s = gcd(*f, *g) or 1    # every exponent of f and g is a multiple of s
-    cf, cg = abs(gcd(*f.values())), abs(gcd(*g.values()))
-    u = _list_primitive(_to_list(f, s))
-    v = _list_primitive(_to_list(g, s))
-    if len(u) < len(v):
-        u, v = v, u
-    # primitive PRS
-    while v:
-        r = _list_prem(u, v)
-        u, v = v, _list_primitive(r)
-    return _lscale(_from_list(u, s), gcd(cf, cg))
-
-
-def _normalize_sign(f: Laurent) -> Laurent:
-    if f and f[max(f)] < 0:
-        return _lneg(f)
-    return f
+    u, v = _to_list(f, s), _to_list(g, s)
+    cf, cg = gcd(*u), gcd(*v)
+    c = gcd(cf, cg)
+    if u[-1] < 0:
+        cf = -cf
+    if v[-1] < 0:
+        cg = -cg
+    h, u, v = _list_gcd([x // cf for x in u] if cf != 1 else u,
+                        [x // cg for x in v] if cg != 1 else v)
+    if len(h) == 1:
+        if c == 1:
+            return _ONE, f, g
+        return {0: c}, {e: x // c for e, x in f.items()}, \
+            {e: x // c for e, x in g.items()}
+    cf //= c
+    cg //= c
+    return (_from_list([c * x for x in h] if c != 1 else h, s),
+            _from_list([cf * x for x in u] if cf != 1 else u, s),
+            _from_list([cg * x for x in v] if cg != 1 else v, s))
 
 
 def _poly_divexact(f: Laurent, g: Laurent) -> Laurent:
-    # f / g knowing g | f; in x = a^s as in _poly_gcd, since the quotient
+    # f / g knowing g | f; in x = a^s as in _gcd_cofactors, since the quotient
     # of f(x^s) by g(x^s) is a polynomial in x^s as well
     if g == _ONE:
         return f
@@ -322,6 +339,10 @@ class ScalarGeneric:
 
 
 def _canonicalize(num: Laurent, den: Laurent):
+    """The canonical (num, den) pair of num / den: both are shifted to min
+    exponent 0, _gcd_cofactors gives them with their gcd cancelled (the
+    reduced pair itself, no quotient taken after), and the pair is negated
+    if den's lead is negative; num gets back its shift less den's."""
     if not den:
         raise ZeroDivisionError("zero denominator")
     if not num:
@@ -330,10 +351,7 @@ def _canonicalize(num: Laurent, den: Laurent):
     nshift = min(num)
     d0 = _lshift(den, -dshift)
     n0 = _lshift(num, -nshift)
-    g = _poly_gcd(n0, d0)
-    if g != _ONE:
-        n0 = _poly_divexact(n0, g)
-        d0 = _poly_divexact(d0, g)
+    _, n0, d0 = _gcd_cofactors(n0, d0)
     if d0[max(d0)] < 0:
         n0 = _lneg(n0)
         d0 = _lneg(d0)
@@ -527,7 +545,7 @@ def _lcm_step(den, d, folded: list):
         return None if grow == 1 else grow
     if den == _ONE:
         return d
-    grow = _poly_divexact(d, _poly_gcd(den, d))
+    grow = _gcd_cofactors(den, d)[2]
     return None if grow == _ONE else grow
 
 
@@ -536,9 +554,20 @@ def _contract(pairs, mode):
     numerators are convolved into one accumulator over a running common
     denominator, then root mode reduces mod Phi_{4r} and by the content
     gcd, and generic mode cancels the polynomial gcd (none over den 1).
+    A generic product by a unit +-a^e is the other factor's numerator
+    shifted and signed, canonical as it stands: no gcd, no convolution.
     """
     folded: list = []
     if not mode.is_root:
+        if len(pairs) == 1:
+            x, y = pairs[0]
+            for u, v in ((y, x), (x, y)):
+                if len(u.num) == 1 and u.den == _ONE:
+                    (e, c), = u.num.items()
+                    if c == 1 or c == -1:
+                        return ScalarGeneric({k + e: c * w for k, w
+                                              in v.num.items()},
+                                             v.den, _canonical=True)
         acc: Laurent = {}       # zero coefficients dropped at the end
         den = _ONE
         for x, y in pairs:

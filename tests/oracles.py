@@ -10,9 +10,10 @@ by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
 functor's linear extension by pairwise scalar products and sums, the
 scalar operators and the elimination row update by per-field bodies that
-never enter the contraction kernel, polynomial gcds and exact quotients
-on the dense lists in a itself, the functor on a simple diagram by
-composing elementary cap and cup layers, the pairing of functor
+never enter the contraction kernel, polynomial gcds by the primitive
+remainder sequence and exact quotients on the dense lists in a itself,
+not by evaluation and not in a power of a, the functor on a simple
+diagram by composing elementary cap and cup layers, the pairing of functor
 images with intertwiners by tracing each composed image, not by its
 coordinates, Gram entries by tracing K pi_t h_u against pi_s h_v, not
 by splitting K into two square roots, the Gram matrix by tracing each
@@ -40,8 +41,7 @@ from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
                              rref_rows, vec_scale, vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
                               _contract, _from_list, _list_divexact,
-                              _list_prem, _list_primitive, _lmul, _lscale,
-                              _poly_divexact, _poly_gcd, _to_list,
+                              _list_primitive, _lmul, _lscale, _to_list,
                               cyclotomic_poly, times_a_power)
 from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
                                   ev_tl, twist_tl)
@@ -414,9 +414,30 @@ def pairwise_row_update(u, v, c):
     return out
 
 
+def list_prem(f, g):
+    """Pseudo-remainder of f by g, little-endian lists, g nonzero."""
+    f = list(f)
+    dg = len(g) - 1
+    lg = g[-1]
+    while len(f) - 1 >= dg and any(f):
+        while f and f[-1] == 0:
+            f.pop()
+        if len(f) - 1 < dg:
+            break
+        lf = f[-1]
+        shift = len(f) - 1 - dg
+        f = [c * lg for c in f]
+        for j, gj in enumerate(g):
+            f[shift + j] -= lf * gj
+        while f and f[-1] == 0:
+            f.pop()
+    return f
+
+
 def dense_poly_gcd(f, g):
-    """_poly_gcd in a itself, never in a power of a: the primitive
-    remainder sequence on the full dense coefficient lists."""
+    """The gcd of _gcd_cofactors by the primitive remainder sequence on
+    the full dense coefficient lists in a itself, never in a power of a,
+    and with no evaluation."""
     if not f or not g:
         h = f or g
         return {e: -c for e, c in h.items()} if h and h[max(h)] < 0 else h
@@ -425,12 +446,12 @@ def dense_poly_gcd(f, g):
     if len(u) < len(v):
         u, v = v, u
     while v:
-        u, v = v, _list_primitive(_list_prem(u, v))
+        u, v = v, _list_primitive(list_prem(u, v))
     return _lscale(_from_list(u), gcd(gcd(*f.values()), gcd(*g.values())))
 
 
 def dense_poly_divexact(f, g):
-    """_poly_divexact in a itself: long division of the dense lists."""
+    """f / g in a itself: long division of the dense lists."""
     return _from_list(_list_divexact(_to_list(f), _to_list(g)))
 
 
@@ -444,7 +465,8 @@ def scaled_denominator_clear(m):
         return m.scale(m.mode.from_int(lcm))
     lcm = {0: 1}
     for v in m.entries.values():
-        lcm = _poly_divexact(_lmul(lcm, v.den), _poly_gcd(lcm, v.den))
+        lcm = dense_poly_divexact(_lmul(lcm, v.den),
+                                  dense_poly_gcd(lcm, v.den))
     return m.scale(ScalarGeneric.from_laurent(lcm))
 
 

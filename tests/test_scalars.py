@@ -3,6 +3,7 @@ import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,13 +11,15 @@ from hypothesis import given, settings, strategies as st
 from oracles import (dense_poly_divexact, dense_poly_gcd, pairwise_add,
                      pairwise_mul, pairwise_row_update, pairwise_truediv,
                      xgcd_inverse)
+from skeinrep import scalars
 from skeinrep.linalg import vec_sub_scaled
 from skeinrep.cli import MAX_ROOT
 from skeinrep.scalars import (GENERIC, MOD_POINT, MOD_PRIME,
                               _MOD_GENERATOR, PoleError, RootMode,
                               ScalarCyclotomic, ScalarGeneric, _contract,
-                              _cyclo_reduce, _lcm_step, _lmul, _lshift,
-                              _poly_divexact, _poly_gcd, clear_denominators,
+                              _cyclo_reduce, _gcd_cofactors, _lcm_step,
+                              _list_divexact, _lmul, _lscale, _lshift,
+                              _poly_divexact, clear_denominators,
                               cyclotomic_poly, format_scalar, mod_map,
                               mod_root, parse_mode, parse_scalar, specialize,
                               times_a_power)
@@ -503,7 +506,7 @@ def test_lcm_step_gives_the_least_common_multiple(dens):
         grow = _lcm_step(den, d, folded)
         if grow is not None:
             den = _lmul(den, grow)
-        want = _poly_divexact(_lmul(want, d), _poly_gcd(want, d))
+        want = dense_poly_divexact(_lmul(want, d), dense_poly_gcd(want, d))
     assert den == want
     # so clear_denominators scales by the lcm itself, not a multiple of it
     values = [ScalarGeneric({0: 1}, d) for d in dens]
@@ -549,14 +552,110 @@ def test_strided_gcd_matches_dense_route_and_sympy(f, g, common, s, shift):
     a = sympy.Symbol("a")
     f = {e * s + shift: c for e, c in _lmul(f, common).items()}
     g = {e * s: c for e, c in _lmul(g, common).items()}
-    got = _poly_gcd(f, g)
+    got, *cofactors = _gcd_cofactors(f, g)
     assert got == dense_poly_gcd(f, g)
     want = sympy.Poly(sympy.gcd(sum(c * a ** e for e, c in f.items()),
                                 sum(c * a ** e for e, c in g.items())), a)
     assert got == {m[0]: int(c) for m, c in want.terms()}
-    for h in (f, g):
-        assert _poly_divexact(h, got) == dense_poly_divexact(h, got)
-        assert _lmul(_poly_divexact(h, got), got) == h
+    for h, co in zip((f, g), cofactors):
+        assert co == _poly_divexact(h, got) == dense_poly_divexact(h, got)
+        assert _lmul(co, got) == h
+
+
+def _cyclotomic_product(ms, s):
+    # prod of Phi_m(a^s) over ms
+    out = {0: 1}
+    for m in ms:
+        out = _lmul(out, {e * s: c for e, c in
+                          enumerate(cyclotomic_poly(m)) if c})
+    return out
+
+
+@st.composite
+def _gcd_operand_pair(draw):
+    # two polynomials in a^s that share a factor, each with its own content
+    # and sign: small dense ones, constants among them, or products of
+    # Phi_m(a^2) as the workloads' denominators are
+    if draw(st.booleans()):
+        f, g, common = draw(_poly(4)), draw(_poly(4)), draw(_poly(3))
+        s = draw(st.integers(1, 4))
+        f, g = ({e * s: c for e, c in _lmul(h, common).items()}
+                for h in (f, g))
+    else:
+        cyclos = st.lists(st.integers(1, 12), max_size=4)
+        f, g, common = draw(cyclos), draw(cyclos), draw(cyclos)
+        f, g = (_cyclotomic_product(common + m, 2) for m in (f, g))
+    contents = st.integers(-12, 12).filter(bool)
+    return (_lscale(f, draw(contents)), _lscale(g, draw(contents)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_gcd_operand_pair())
+def test_gcd_cofactors_match_dense_oracle_and_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a = sympy.Symbol("a")
+    f, g = pair
+    h, cf, cg = _gcd_cofactors(f, g)
+    assert h == dense_poly_gcd(f, g)
+    assert h[max(h)] > 0
+    assert cf == dense_poly_divexact(f, h)
+    assert cg == dense_poly_divexact(g, h)
+    want = sympy.Poly(sympy.gcd(sum(c * a ** e for e, c in f.items()),
+                                sum(c * a ** e for e, c in g.items())), a)
+    assert h == {m[0]: int(c) for m, c in want.terms()}
+
+
+@pytest.mark.parametrize("common", [{0: 1}, {0: 1, 1: 1}],
+                         ids=["coprime", "shared"])
+def test_gcd_cofactors_grow_the_evaluation_point(monkeypatch, common):
+    # two quadratics (times common) whose values at the first evaluation
+    # point share a factor they do not share as polynomials (a^2 - a + 2
+    # and a^2 - 3a - 1 share 23 at a = 33, which rebuilds a - 10): the
+    # rebuilt candidate divides neither, and the point must grow
+    inexact = []
+
+    def spy(f, g):
+        try:
+            return _list_divexact(f, g)
+        except ArithmeticError:
+            inexact.append((f, g))
+            raise
+
+    monkeypatch.setattr(scalars, "_list_divexact", spy)
+    quadratics = [_lmul({e: c for e, c in enumerate((c0, b, 1)) if c},
+                        common)
+                  for b in range(-3, 4) for c0 in range(-3, 4) if c0]
+    for f, g in ((f, g) for f in quadratics for g in quadratics):
+        got = _gcd_cofactors(f, g)
+        if inexact:
+            break
+    assert inexact, "no quadratic pair reached the growth branch"
+    assert got == (dense_poly_gcd(f, g), dense_poly_divexact(f, got[0]),
+                   dense_poly_divexact(g, got[0]))
+
+
+@pytest.mark.parametrize("with_den", [False, True])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_unit_products_skip_the_gcd(with_den, data):
+    # x * (+-a^e) and (+-a^e) * x equal the pairwise product and never
+    # call the gcd
+    if with_den:
+        x = data.draw(_generic().filter(lambda z: z.den != {0: 1}))
+    else:
+        x = ScalarGeneric.from_laurent(data.draw(
+            st.dictionaries(st.integers(-4, 4),
+                            st.integers(-6, 6).filter(bool), max_size=4)))
+    u = ScalarGeneric({data.draw(st.integers(-5, 5)):
+                       data.draw(st.sampled_from([1, -1]))}, {0: 1})
+    want = pairwise_mul(x, u)
+
+    def no_gcd(f, g):
+        raise AssertionError("a unit product ran a gcd")
+
+    with mock.patch.object(scalars, "_gcd_cofactors", no_gcd):
+        for pairs in (((x, u),), ((u, x),)):
+            _same_form(_contract(pairs, GENERIC), want)
 
 
 def test_strided_division_refuses_an_inexact_quotient():

@@ -32,9 +32,10 @@ from .functor import FunctorReport, verify_equivalence
 # At a root every scalar grows with deg Phi_4r: the slowest admitted
 # query is the all-ones 5-strand pair, 1.3 to 1.9 s cold at r = 19 (the
 # largest degree admitted; 2.2 to 2.6 s on a loaded machine where jw 9
-# took 1.6 to 2.0 s).  Cold homdim 7,3 0 takes 0.33 to 0.44 s
-# generically and 0.8 to 0.9 s at r = 19, homdim 3,7 0, 7,2,1 0 and
-# 6,4 0 0.75 to 1.1 s at r = 19 (2-CPU x86-64 machine).
+# took 1.6 to 2.0 s).  Cold homdim 7,3 0 and 7,1,1,1 0 take 0.23 to
+# 0.33 s generically (medians 0.25 and 0.24 s), homdim 7,3 0 and 3,7 0
+# 0.55 to 0.82 s at r = 19 (medians 0.58 and 0.62 s), and 7,2,1 0 and
+# 6,4 0 0.6 to 1.0 s at r = 19 (2-CPU x86-64 machine).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair

@@ -27,8 +27,8 @@ from .diagrams import SimpleDiagram, TLMorphism
 from .turaev import good_type_diagrams, hom_basis, object_seq, \
     purified_hom_dim, seq_size
 from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
-    elementary_morphisms, hw_projector, mask_weight, rep_hom_basis, \
-    rep_hom_coordinates
+    _symmetrizer_factors, elementary_morphisms, hw_projector, mask_weight, \
+    rep_hom_basis, rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -84,83 +84,66 @@ def _object_projector(s: tuple, mode: Mode) -> RepMap:
 
 
 @cache
-def _cleared_projector(k: int, mode: Mode) -> RepMap:
-    """lambda_k f_k for one color k and a nonzero scalar lambda_k, every
-    entry denominator-free.  An object's lambda_s f_s is their tensor
-    product, never built: (A (x) B) X = (A (x) 1)(1 (x) B) X, so each color
-    acts on its own bits (_apply_colors).  Ranks, rank profiles and
-    coordinates against maps scaled alike do not see lambda_s."""
-    return _denominator_clear(hw_projector(k, mode))
-
-
-def _color_columns(k: int) -> list:
-    # the first linearly independent columns of f_k: f_k has rank one on
-    # each weight block and no zero entry inside one, so block j's first
-    # independent column is its smallest mask, the j low bits set
-    return [(1 << j) - 1 for j in range(k + 1)]
+def _color_factors(k: int, mode: Mode) -> tuple:
+    """(weights, inv, blocks) of lambda_k f_k, inv and blocks as in
+    uqsl2._symmetrizer_factors: its entry at (a, b) in one block is
+    weights[b] q^inv(a), weights[b] = c_j q^inv(b) for b with j ones and
+    c_j = lambda_k / D_j.  lambda_k, the lcm of the denominators of the
+    1 / D_j, leaves every entry denominator-free; ranks, rank profiles and
+    coordinates against maps scaled alike do not see it."""
+    inv, blocks, scalars = _symmetrizer_factors(k, mode)
+    weights = [None] * (1 << k)
+    for c, block in zip(clear_denominators(scalars, mode), blocks):
+        for b in block:
+            weights[b] = times_a_power(c, 2 * inv[b])
+    return weights, inv, blocks
 
 
 def _image_columns(s: tuple) -> list:
-    """The first linearly independent columns of f_s, ascending.
-    RREF(A (x) B) = RREF(A) (x) RREF(B), so they are the products of each
-    color's own."""
+    """The first linearly independent columns of f_s, ascending.  f_k has
+    rank one on each weight block and no zero entry inside one, so block
+    j's first independent column is its smallest mask, the j low bits set,
+    and RREF(A (x) B) = RREF(A) (x) RREF(B) makes those of f_s the
+    products of each color's own."""
     cols = [0]
     for k in s:
-        cols = [c << k | j for c in cols for j in _color_columns(k)]
+        cols = [c << k | (1 << j) - 1 for c in cols for j in range(k + 1)]
     return cols
 
 
-@cache
-def _projector_columns(k: int, mode: Mode) -> dict:
-    # lambda_k f_k by column: b -> [(a, x)] for its entries x at (a, b)
-    cols: dict = {}
-    for (a, b), x in _cleared_projector(k, mode).entries.items():
-        cols.setdefault(b, []).append((a, x))
-    return cols
-
-
-@cache
-def _kept_projector_rows(k: int, mode: Mode) -> dict:
-    # (lambda_k f_k C_k)^T by column, as _apply_colors takes it:
-    # b -> [(j, x)] for each entry x of lambda_k f_k at (b, j), j an image
-    # column of f_k
-    keep = set(_color_columns(k))
-    rows: dict = {}
-    for (b, j), x in _cleared_projector(k, mode).entries.items():
-        if j in keep:
-            rows.setdefault(b, []).append((j, x))
-    return rows
-
-
-def _apply_colors(s: tuple, entries: dict, columns, mode: Mode,
-                  keep=None) -> dict:
-    """The entries of (M_{s_1} (x) ... (x) M_{s_m}) m, for a map m given by
-    its entries keyed (target mask, source mask).  Each color k > 1 of s
-    applies M_k to its own bits of the target mask, one contraction per
-    entry; columns(k, mode) is M_k by column, b -> [(a, x)].  M_1 is the
-    identity, so color 1 costs nothing.  The colors act on disjoint bits,
-    so they commute, and the largest goes last: given a set keep of keys,
-    the last color computes only the entries keyed in it."""
-    blocks = []
-    shift = seq_size(s)
-    for k in s:
-        shift -= k
-        if k > 1:
-            blocks.append((k, shift))
-    blocks.sort()
-    for n, (k, shift) in enumerate(blocks, 1):
-        cols = columns(k, mode)
-        block = (1 << k) - 1 << shift
-        want = keep if n == len(blocks) else None
-        pairs: dict = {}
+def _apply_colors(s: tuple, entries: dict, mode: Mode, keep=None) -> dict:
+    """The entries of lambda_s f_s m, for a map m given by its entries
+    keyed (target mask, source mask).  lambda_s f_s is the tensor product
+    of each color's lambda_k f_k, never built: (A (x) B) X =
+    (A (x) 1)(1 (x) B) X, so each color k > 1 acts on its own bits of the
+    target mask, rank one on each weight block (_color_factors): the
+    entries whose other bits, source mask and block agree contract once
+    against the weights of their masks b, and each mask a of the block
+    takes that sum times q^inv(a).  Color 1 is the identity, so it costs
+    nothing.  The colors act on disjoint bits, so they commute, and the
+    largest goes last: given a set keep of keys, the last color computes
+    only the entries keyed in it and contracts no group that has none."""
+    # (k, its shift: the number of bits after it) for each color k > 1
+    colors = sorted((k, sum(s[n + 1:])) for n, k in enumerate(s) if k > 1)
+    for n, (k, shift) in enumerate(colors, 1):
+        weights, inv, blocks = _color_factors(k, mode)
+        bits = (1 << k) - 1 << shift
+        want = keep if n == len(colors) else None
+        need = None if want is None else {
+            (i & ~bits, j, ((i & bits) >> shift).bit_count()) for i, j in want}
+        groups: dict = {}
         for (i, j), y in entries.items():
-            rest = i & ~block
-            for a, x in cols.get((i & block) >> shift, ()):
-                key = (rest | a << shift, j)
-                if want is None or key in want:
-                    pairs.setdefault(key, []).append((x, y))
-        entries = {key: v for key, ps in pairs.items()
-                   if not (v := _contract(ps, mode)).is_zero()}
+            b = (i & bits) >> shift
+            group = (i & ~bits, j, b.bit_count())
+            if need is None or group in need:
+                groups.setdefault(group, []).append((weights[b], y))
+        entries = {}
+        for (rest, j, w), ps in groups.items():
+            if not (v := _contract(ps, mode)).is_zero():
+                for a in blocks[w]:
+                    key = (rest | a << shift, j)
+                    if want is None or key in want:
+                        entries[key] = times_a_power(v, 2 * inv[a])
     return entries
 
 
@@ -191,25 +174,27 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
     Both projectors enter as lambda f, which scales every compression
     alike, and both act color by color (_apply_colors): f_t on the target
-    of h, then f_s C_s, transposed, on its source.  One exact RREF of the
-    compressions gives the kept rows, its pivots, and in its row with
-    pivot u the coefficient on compression u of every compression.  Each
-    image F(h) is the sum of the intertwiners weighted by its coordinates
-    (rep_hom_coordinates, which raises ValueError for an image outside
-    their span), so its coordinate on u is one contraction of that row
-    against them.
+    of h, then f_s, which is symmetric, on its source, keeping the image
+    columns C_s alone.  One exact RREF of the compressions gives the kept
+    rows, its pivots, and in its row with pivot u the coefficient on
+    compression u of every compression.  Each image F(h) is the sum of the
+    intertwiners weighted by its coordinates (rep_hom_coordinates, which
+    raises ValueError for an image outside their span), so its coordinate
+    on u is one contraction of that row against them.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
     coords = [rep_hom_coordinates(F_diagram(h.value))
               for h in hom_basis(s, t, mode)]
+    image = set(_image_columns(s))
     compressions = []
     for h in rep_hom_basis(seq_size(s), seq_size(t), mode):
-        left = _apply_colors(t, h.entries, _projector_columns, mode)
+        left = _apply_colors(t, h.entries, mode)
         # keyed (source, target) from here on, the same for every h
-        compressions.append(_apply_colors(
-            s, {(j, i): v for (i, j), v in left.items()},
-            _kept_projector_rows, mode))
+        right = _apply_colors(s, {(j, i): v for (i, j), v in left.items()},
+                              mode)
+        compressions.append({key: v for key, v in right.items()
+                             if key[0] in image})
     rref = linalg.rref_rows(linalg.transpose(compressions))
     return [[_contract([(x, c[j]) for j, x in row.items()], mode)
              for c in coords] for row in rref]
@@ -373,14 +358,6 @@ class FunctorReport:
                 f"{self.matrix_rank} {self.verdict})")
 
 
-def _denominator_clear(m: RepMap) -> RepMap:
-    # scale a matrix by one scalar so every entry is denominator-free;
-    # Gram and pairing ranks are unchanged by such scalings
-    return RepMap(m.source_rank, m.target_rank,
-                  dict(zip(m.entries, clear_denominators(m.entries.values(),
-                                                         m.mode))), m.mode)
-
-
 def _sparse_trace(x: RepMap, y: RepMap):
     # tr(x . y) without forming the product, one contraction per entry
     ye = y.entries
@@ -411,7 +388,7 @@ def _projector_coordinates(s: tuple, l: int, mode: Mode) -> list:
     for h in rep_hom_basis(l, n, mode):
         entries = _apply_colors(
             s, {key: v for key, v in h.entries.items() if key[1] in columns},
-            _projector_columns, mode, free)
+            mode, free)
         rows.append({free[key]: v for key, v in entries.items()
                      if key in free})
     return rows

@@ -620,11 +620,16 @@ def times_a_power(x, e: int):
     """x * a^e without a multiply: generic mode shifts the numerator (the
     result is canonical as it stands), root mode shifts the residue by
     e mod 4r and reduces it once by the table of x^e mod Phi_{4r}
-    (multiplying by a unit keeps the content, so no gcd)."""
+    (multiplying by a unit keeps the content, so no gcd).  A zero shift,
+    e = 0 or e = 0 mod 4r, returns x itself."""
     if isinstance(x, ScalarGeneric):
+        if not e:
+            return x
         return ScalarGeneric(_lshift(x.num, e), x.den, _canonical=True)
-    r = x.r
-    cs = _cyclo_reduce([0] * (e % (4 * r)) + list(x.coeffs), r)
+    e %= 4 * x.r
+    if not e:
+        return x
+    cs = _cyclo_reduce([0] * e + list(x.coeffs), x.r)
     return ScalarCyclotomic(x.mode, cs, x.den, _canonical=True)
 
 

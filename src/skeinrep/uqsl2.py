@@ -546,6 +546,17 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
     (D_1 = q^(r-1) [r]_q vanishes at n = r, though at n = 2r - 1 no D_j
     does).
     """
+    inv, blocks, scalars = _symmetrizer_factors(n, mode)
+    return RepMap(n, n, {(i, i2): times_a_power(d, 2 * (inv[i] + inv[i2]))
+                         for d, block in zip(scalars, blocks)
+                         for i in block for i2 in block}, mode)
+
+
+@cache
+def _symmetrizer_factors(n: int, mode: Mode) -> tuple:
+    """The factors (inv, blocks, scalars) of hw_projector(n, mode): inv[m]
+    is the inversion count of mask m, blocks[j] the masks with j ones and
+    scalars[j] = 1 / D_j."""
     if n < 1:
         raise ValueError("rank must be >= 1")
     if mode.is_root and n >= mode.r:
@@ -559,14 +570,10 @@ def hw_projector(n: int, mode: Mode = GENERIC) -> RepMap:
     for m in range(1 << n):
         blocks[m.bit_count()].append(m)
     one = mode.one()
-    entries = {}
+    scalars = [None] * (n + 1)
     for j in range(n // 2 + 1):
         d = _contract([(mode.a_power(4 * inv[m]), one) for m in blocks[j]],
                       mode)
-        d = d if d.is_one() else d.inv()
         # D_{n-j} = D_j: reversing and complementing a mask keeps inv(m)
-        for jj in {j, n - j}:
-            for i in blocks[jj]:
-                for i2 in blocks[jj]:
-                    entries[i, i2] = times_a_power(d, 2 * (inv[i] + inv[i2]))
-    return RepMap(n, n, entries, mode)
+        scalars[j] = scalars[n - j] = d if d.is_one() else d.inv()
+    return inv, blocks, scalars

@@ -18,8 +18,9 @@ images with intertwiners by tracing each composed image, not by its
 coordinates, Gram entries by tracing K pi_t h_u against pi_s h_v, not
 by splitting K into two square roots, the Gram matrix by tracing each
 projected intertwiner pair, not through projector coordinates and base
-Gram matrices, and an object's cleared projector
-by the full tensor product of its colors', not color by color, and
+Gram matrices, and an object's cleared projector by the full tensor
+product of its colors', each scaled by full scalar multiplication, not
+color by color from rank-one factors, and
 intertwiner bases by solving the X and Y equations of each (k, l) on
 their own, with full generator matrices, not by bending the invariants
 of V^(x)(k+l).
@@ -34,7 +35,6 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
 from skeinrep.functor import (F_diagram, F_object, _apply_colors,
-                              _cleared_projector, _projector_columns,
                               _simple_rep, rep_braiding, rep_coev, rep_ev,
                               rep_twist)
 from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
@@ -48,7 +48,8 @@ from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
                              seq_size)
 from skeinrep.uqsl2 import (RepMap, TensorVector, act, elementary_morphisms,
-                            highest_weight_basis, mask_weight, rep_hom_basis)
+                            highest_weight_basis, hw_projector, mask_weight,
+                            rep_hom_basis)
 
 
 def catalan(n: int) -> int:
@@ -711,14 +712,15 @@ def full_projector_hom_matrix(s, t, mode=GENERIC):
 @cache
 def tensor_cleared_projector(s, mode=GENERIC):
     """lambda_s f_s built in full, as the tensor product of each color's
-    cleared projector: the route the functor's color-by-color application
-    (_apply_colors) replaces."""
+    projector scaled by the lcm of its entries' denominators
+    (scaled_denominator_clear): the route the functor's color-by-color,
+    rank-one application (_apply_colors) replaces."""
     if not s:
         return RepMap.identity(0, mode)
+    last = scaled_denominator_clear(hw_projector(s[-1], mode))
     if len(s) == 1:
-        return _cleared_projector(s[0], mode)
-    return tensor_cleared_projector(s[:-1], mode).tensor(
-        _cleared_projector(s[-1], mode))
+        return last
+    return tensor_cleared_projector(s[:-1], mode).tensor(last)
 
 
 def tensor_image_columns(s, mode=GENERIC):
@@ -756,7 +758,7 @@ def half_weighted_projections(s, l, mode=GENERIC):
     n = seq_size(s)
     return [RepMap(l, n, {(i, j): times_a_power(v, mask_weight(i, n))
                           for (i, j), v in _apply_colors(
-                              s, h.entries, _projector_columns, mode).items()},
+                              s, h.entries, mode).items()},
                    mode)
             for h in rep_hom_basis(l, n, mode)]
 

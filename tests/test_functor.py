@@ -18,7 +18,7 @@ from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
 from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
-                              _denominator_clear, _gram_matrix,
+                              _apply_colors, _gram_matrix,
                               _image_columns, _object_projector,
                               _pairing_rows, _projector_coordinates,
                               _simple_rep, _sparse_trace,
@@ -302,8 +302,8 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     # each color's projector acts on its own bits and each intertwiner
     # basis is bent from the invariants entry by entry, so no RepMap is
     # ever tensored on the verify_equivalence path, from cold caches
-    cached = [functor._cleared_projector,
-              functor._projector_columns, functor._projector_coordinates,
+    cached = [functor._color_factors, uqsl2._symmetrizer_factors,
+              functor._projector_coordinates,
               functor._base_gram, functor._coordinate_gram,
               uqsl2._rep_hom_basis, uqsl2._free_unknowns]
     for f in cached:
@@ -316,7 +316,7 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
         m.setattr(RepMap, "tensor", refused)
         r = verify_equivalence((2, 3), (3, 2), mode)
     assert r.verdict == "iso"
-    assert functor._cleared_projector.cache_info().currsize == 2
+    assert functor._color_factors.cache_info().currsize == 2
     if mode.is_root:
         return      # purified_hom_dim builds the diagram-side projectors
     # generically the object projectors come from representation theory
@@ -341,40 +341,25 @@ def test_verify_equivalence_past_size_eight():
     assert r.verdict == "iso"
 
 
-def test_denominator_clear_matches_full_scaling():
-    maps = [F_object(s, GENERIC)["projector"]
-            for s in [(1,), (2,), (3,), (4,), (5,), (2, 2), (1, 2, 1)]]
-    maps += [h for k in range(7) for l in range(7 - k)
-             for h in rep_hom_basis(k, l)]
-    with_den = 0
-    for m in maps:
-        with_den += any(v.den != {0: 1} for v in m.entries.values())
-        got = _denominator_clear(m)
-        assert all(v.den == {0: 1} for v in got.entries.values())
-        assert got.entries == scaled_denominator_clear(m).entries
-        assert (got.source_rank, got.target_rank) == (m.source_rank,
-                                                      m.target_rank)
-    # not vacuous: every projector but the identity (1,) has denominators
-    assert with_den >= 6
-    for r in (3, 4, 5):
-        mode = RootMode(r)
-        maps = [_object_projector((k,), mode) for k in range(1, r)]
-        maps += [F_object(s, mode)["projector"]
-                 for s in [(1, 1), (2, 1), (1, 2, 1)] if max(s) <= r - 2]
-        # only r = 4 projectors carry integer denominators, so every mode
-        # also gets intertwiners divided by small integers
-        maps += [h.scale(mode.one() / mode.from_int(u % 5 + 1))
-                 for k in range(7) for l in range(7 - k)
-                 for u, h in enumerate(rep_hom_basis(k, l, mode))]
-        with_den = 0
-        for m in maps:
-            with_den += any(v.den > 1 for v in m.entries.values())
-            got = _denominator_clear(m)
-            assert all(v.den == 1 for v in got.entries.values())
-            assert got.entries == scaled_denominator_clear(m).entries
-            assert (got.source_rank, got.target_rank) == (m.source_rank,
-                                                          m.target_rank)
-        assert with_den >= 20, r
+def test_apply_colors_is_the_fully_scaled_projector():
+    # one color applied to the identity is lambda_k f_k, and lambda_k is
+    # the lcm of the denominators of all of f_k's entries, as full scalar
+    # multiplication takes it; k <= 7 bounds the C(2k, k) entries
+    cases = [(k, GENERIC) for k in range(1, 8)]
+    cases += [(k, RootMode(r)) for r in range(3, 21)
+              for k in range(1, min(7, r - 2) + 1)]
+    scaled = 0
+    for k, mode in cases:
+        f = hw_projector(k, mode)
+        want = scaled_denominator_clear(f).entries
+        got = _apply_colors((k,), RepMap.identity(k, mode).entries, mode)
+        assert got == want, (mode, k)
+        one = mode.one().den
+        assert all(v.den == one for v in got.values())
+        scaled += want != f.entries
+    assert len(cases) == 112
+    # not vacuous: every generic projector past f_1 carries denominators
+    assert scaled >= 6
 
 
 def _color_seqs(colors, max_size):

@@ -352,6 +352,20 @@ def test_times_a_power_matches_multiply(mode, data):
         assert got.den == x.den
 
 
+@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in range(3, 9)],
+                         ids=lambda m: str(m.r) if m.is_root else "generic")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_times_a_power_of_a_zero_shift_is_x_itself(mode, data):
+    # a^0 = 1, and a^(4r) = 1 at a root of order r: no new scalar is built
+    x = data.draw(_cyclo(mode.r) if mode.is_root else _generic())
+    assert times_a_power(x, 0) is x
+    if mode.is_root:
+        r = mode.r
+        assert times_a_power(x, 4 * r) is x
+        assert times_a_power(x, -8 * r) is x
+
+
 # ---------------------------------------------------------------------------
 # the kernel route: every operator and the row update go through _contract,
 # checked against the pairwise per-field bodies in oracles.py

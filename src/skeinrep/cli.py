@@ -22,20 +22,22 @@ from .functor import FunctorReport, verify_equivalence
 
 
 # Larger inputs run for many seconds to minutes, so they are refused with
-# one error line.  Cold jw 9 takes 1.5 to 2.2 s generically (0.8 to 1.0 s
-# at r = 19), and jones_wenzl(10) 5.2 to 5.9 s in-process.
+# one error line.  Cold jw 9 takes 1.5 to 2.2 s generically (0.56 to
+# 0.87 s at r = 19, median 0.62 s), and jones_wenzl(10) 5.2 to 5.9 s
+# in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis: generic
 # and in-process, homdim 6 6 takes 7 to 9 s, homdim 1,1,1,1,1,1
 # 1,1,1,1,1,1 8 to 10 s (its 132 x 132 Gram rank, proven mod p, 0.2 s of
-# it) and homdim 7,5 0 4.2 s; the intertwiner solve alone takes up to
-# 6.3 s at r = 19.
-# At a root every scalar grows with deg Phi_4r: the slowest admitted
-# query is the all-ones 5-strand pair, 1.3 to 1.9 s cold at r = 19 (the
-# largest degree admitted; 2.2 to 2.6 s on a loaded machine where jw 9
-# took 1.6 to 2.0 s).  Cold homdim 7,3 0 and 7,1,1,1 0 take 0.23 to
-# 0.33 s generically (medians 0.25 and 0.24 s), homdim 7,3 0 and 3,7 0
-# 0.55 to 0.82 s at r = 19 (medians 0.58 and 0.62 s), and 7,2,1 0 and
-# 6,4 0 0.6 to 1.0 s at r = 19 (2-CPU x86-64 machine).
+# it) and homdim 7,5 0 4.2 s; the intertwiner solve alone takes 1.9 s
+# at r = 19 (4.7 s before cyclotomic residues were packed ints).
+# At a root every scalar grows with deg Phi_4r, and r = 19 is the
+# largest degree admitted: there the slowest admitted root queries are
+# homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.67 to 1.06 s
+# cold, and the all-ones 5-strand pair, 0.65 to 0.93 s (medians 1.04
+# and 0.70 s).  Cold homdim 7,3 0 and 7,1,1,1 0 take 0.23 to 0.33 s
+# generically (medians 0.25 and 0.24 s), and homdim 7,3 0, 3,7 0,
+# 7,2,1 0 and 6,4 0 0.28 to 0.49 s at r = 19 (medians 0.35, 0.32, 0.41
+# and 0.45 s; 2-CPU x86-64 machine, BENCH_packed_residues.json).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair

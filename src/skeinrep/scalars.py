@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from functools import cache, cached_property
 from math import gcd, lcm
+from struct import unpack
 
 Laurent = dict  # exponent (int) -> coefficient (int), zero coefficients absent
 
@@ -375,35 +376,45 @@ def cyclotomic_poly(n: int) -> list:
 
 class ScalarCyclotomic:
     """Element of Q(zeta_{4r}): integer residue mod Phi_{4r} over den > 0,
-    in the field of its mode, the one RootMode(r)."""
+    in the field of its mode, the one RootMode(r).
 
-    __slots__ = ("mode", "coeffs", "den", "_hash")
+    The residue c_0 + c_1 a + ... is one int, ``packed`` = sum c_i 2^(w i)
+    for the slot width w = ``width`` (Kronecker substitution, signed
+    slots).  The width is the narrowest of the ladder 64, 128, 256, ...
+    with every |c_i| < 2^(w-1), so equal values have equal (packed, den,
+    width); ``bits`` is a proven bound, |c_i| <= 2^bits.  The content of
+    the residue is prime to den, and zero is 0 / 1.  The constructor takes
+    any coefficient list in a and reduces it."""
 
-    def __init__(self, mode: "RootMode", coeffs, den: int = 1,
-                 _canonical: bool = False):
+    __slots__ = ("mode", "packed", "den", "width", "bits", "_hash")
+
+    def __init__(self, mode: "RootMode", coeffs, den: int = 1):
+        f = mode._field
+        cs = [0] * (2 * f.half)     # a^(4r) = 1
+        for i, c in enumerate(coeffs):
+            cs[i % len(cs)] += c
+        if den < 0:
+            den = -den
+            cs = [-c for c in cs]
+        bound = max(map(abs, cs)) * f.growth
+        w = _width(bound)
+        z = _finish(mode, f, _pack(cs, w), den, w, bound)
         self.mode = mode
-        if _canonical:
-            self.coeffs = tuple(coeffs)
-            self.den = den
-        else:
-            cs = _cyclo_reduce(list(coeffs), mode.r)
-            if den < 0:
-                den = -den
-                cs = [-c for c in cs]
-            if not cs:
-                den = 1
-            elif den != 1:
-                g = gcd(den, *cs)
-                if g > 1:
-                    den //= g
-                    cs = [c // g for c in cs]
-            self.coeffs = tuple(cs)
-            self.den = den
+        self.packed, self.den, self.width, self.bits = \
+            z.packed, z.den, z.width, z.bits
         self._hash = None
 
     @property
     def r(self) -> int:
         return self.mode.r
+
+    @property
+    def coeffs(self) -> tuple:
+        """c_0, c_1, ... up to the last nonzero one."""
+        cs = _digits(self.packed, self.width)
+        while cs and not cs[-1]:
+            cs.pop()
+        return tuple(cs)
 
     @staticmethod
     def from_int(n: int, r: int) -> "ScalarCyclotomic":
@@ -414,10 +425,10 @@ class ScalarCyclotomic:
         return RootMode(r).a_power(e)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.coeffs == (1,) and self.den == 1
+        return self.packed == 1 and self.den == 1
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -435,37 +446,24 @@ class ScalarCyclotomic:
     __pow__ = _pow
 
     def __neg__(self):
-        return ScalarCyclotomic(self.mode, tuple(-c for c in self.coeffs),
-                                self.den, _canonical=True)
+        return _new(self.mode, -self.packed, self.den, self.width, self.bits)
 
     def inv(self) -> "ScalarCyclotomic":
-        # self = y / den, y in Z[a]; y times its conjugates a -> a^k, k > 1
-        # prime to 4r, is the integer N(y), so 1/self = den * those / N(y)
-        if not self.coeffs:
+        if not self.packed:
             raise ZeroDivisionError("division by zero scalar")
-        mode, order = self.mode, 4 * self.r
-        p = mode.signs[0]
-        for k in range(3, order, 2):
-            if gcd(k, order) == 1:
-                cs = [0] * order
-                for i, c in enumerate(self.coeffs):
-                    cs[i * k % order] += c
-                p = _contract(((p, ScalarCyclotomic(mode, cs)),), mode)
-        y = ScalarCyclotomic(mode, self.coeffs, 1, _canonical=True)
-        (norm,) = _contract(((y, p),), mode).coeffs
-        return ScalarCyclotomic(mode, [c * self.den for c in p.coeffs], norm)
+        return _inverse(self)
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.mode.from_int(other)
         if not isinstance(other, ScalarCyclotomic):
             return NotImplemented
-        return (self.mode is other.mode and self.coeffs == other.coeffs
-                and self.den == other.den)
+        return (self.mode is other.mode and self.packed == other.packed
+                and self.den == other.den and self.width == other.width)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.r, self.coeffs, self.den))
+            self._hash = hash((self.r, self.packed, self.den, self.width))
         return self._hash
 
     def __repr__(self):
@@ -475,38 +473,164 @@ class ScalarCyclotomic:
         return format_scalar(self)
 
 
+_object_new = object.__new__
+
+
+def _new(mode, packed: int, den: int, width: int, bits: int):
+    z = _object_new(ScalarCyclotomic)
+    z.mode = mode
+    z.packed = packed
+    z.den = den
+    z.width = width
+    z.bits = bits
+    z._hash = None
+    return z
+
+
 @cache
-def _power_table(r: int) -> tuple:
-    """(deg Phi_{4r}, rows): row e is x^e mod Phi_{4r} for e < 4r, as its
-    nonzero (index, coeff) pairs; x^{4r} = 1 modulo Phi_{4r}, so the rows
-    repeat with period 4r."""
-    phi = cyclotomic_poly(4 * r)
-    deg = len(phi) - 1
-    rows = []
-    cur = [1] + [0] * (deg - 1)
-    for _ in range(4 * r):
-        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c - top * p for c, p in zip(cur, phi)]
-    return deg, tuple(rows)
+def _inverse(x: ScalarCyclotomic) -> ScalarCyclotomic:
+    # x = y / den, y in Z[a]; y times its conjugates a -> a^k, k > 1 prime
+    # to 4r, is the integer N(y), so 1/x = den * those / N(y)
+    mode, order = x.mode, 4 * x.r
+    cs0 = x.coeffs
+    p = mode.signs[0]
+    for k in range(3, order, 2):
+        if gcd(k, order) == 1:
+            cs = [0] * order
+            for i, c in enumerate(cs0):
+                cs[i * k % order] += c
+            p = _contract(((p, ScalarCyclotomic(mode, cs)),), mode)
+    y = _new(mode, x.packed, 1, x.width, x.bits)
+    norm = _contract(((y, p),), mode).packed    # a constant: its slot 0
+    return ScalarCyclotomic(mode, [c * x.den for c in p.coeffs], norm)
 
 
-def _cyclo_reduce(cs: list, r: int) -> list:
-    deg, table = _power_table(r)
-    if len(cs) > deg:
-        order = 4 * r
-        out = cs[:deg]
-        for e in range(deg, len(cs)):
-            c = cs[e]
-            if c:
-                for j, t in table[e % order]:
-                    out[j] += c * t
-        cs = out
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
+def _width(bound: int) -> int:
+    # the narrowest slot width of the ladder that holds |c| <= bound
+    w = 64
+    while bound >> (w - 1):
+        w <<= 1
+    return w
+
+
+def _pack(cs, w: int) -> int:
+    p = 0
+    for c in reversed(cs):
+        p = (p << w) + c
+    return p
+
+
+@cache
+def _bias(w: int, slots: int) -> int:
+    # 2^(w-1) in each of the low slots
+    return ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
+
+
+def _digits(p: int, w: int) -> list:
+    """The slots of p at width w, c_0 first, through its top nonzero slot
+    (one zero slot may follow): each biased into [0, 2^w), read as bytes."""
+    slots = p.bit_length() // w + 1
+    data = (p + _bias(w, slots)).to_bytes(w * slots // 8, "little")
+    h = 1 << (w - 1)
+    if w == 64:
+        return [c - h for c in unpack(f"<{slots}Q", data)]
+    k = w // 8
+    return [int.from_bytes(data[i:i + k], "little") - h
+            for i in range(0, len(data), k)]
+
+
+def _spread(p: int, v: int, w: int) -> int:
+    # p, packed at width v, packed at width w >= v
+    return p if v == w else _pack(_digits(p, v), w)
+
+
+class _Field(dict):
+    """The constants of Q(zeta_{4r}) for the packed kernel: n = deg Phi_{4r},
+    half = 2r, tail = Phi_{4r} - a^n, and growth, a factor by which _reduce
+    can at most multiply the largest |slot| of its input, counting every
+    intermediate.  Keyed by slot width w, the masks and packed tail there."""
+
+    def __init__(self, r: int):
+        phi = cyclotomic_poly(4 * r)
+        self.n = n = len(phi) - 1
+        self.half = 2 * r
+        self.tail = tail = phi[:n]
+        # follow _reduce on slots below 4r, each at most 1 in size, with a
+        # bound per slot: a^(2r) = -1 adds slot i + 2r to slot i, and each
+        # a^n = -tail step adds the high slots times |tail| to the low ones
+        top = max(i for i, c in enumerate(tail) if c)
+        b = [2] * (2 * r)
+        growth = 2
+        while len(b) > n:
+            low = b[:n] + [0] * (len(b) - 2 * n + top)
+            for j, h in enumerate(b[n:]):
+                for i in range(top + 1):
+                    low[i + j] += h * abs(tail[i])
+            b = low
+            growth = max(growth, *b)
+        self.growth = growth
+        self.limit = ((1 << 63) - 1) // growth   # bound * growth < 2^63
+        # -2^24 <= c < 2^24 in every slot at width 64, the test of _finish
+        self.bias24 = _bias(64, n) >> 39
+        self.high24 = (_bias(64, n) << 1) - (self.bias24 << 1)
+
+    def __missing__(self, w):
+        self[w] = c = (w * self.half, (1 << w * self.half) - 1,
+                       _bias(w, self.half),
+                       w * self.n, (1 << w * self.n) - 1, _bias(w, self.n),
+                       _pack(self.tail, w))
+        return c
+
+
+def _reduce(p: int, consts) -> int:
+    """p mod Phi_{4r} at the width of consts, for p with every |slot| times
+    growth below 2^(w-1) and no slot at or past 4r.  A slot at or past a
+    split shows as a bit past it.  Biasing each slot below the split into
+    [0, 2^w) splits p by a mask and a shift.  First a^(2r) = -1 subtracts
+    the high slots; then a^n = -tail subtracts them times the tail."""
+    s2, m2, b2, sn, mn, bn, tail = consts
+    if p.bit_length() >= s2:
+        u = p + b2
+        p = (u & m2) - b2 - (u >> s2)
+    while p.bit_length() >= sn:
+        u = p + bn
+        p = (u & mn) - bn - (u >> sn) * tail
+    return p
+
+
+def _finish(mode, f: _Field, p: int, den: int, w: int, bound: int):
+    """The canonical scalar p / den, for p at width w that _reduce admits
+    and with every |slot| <= bound once reduced: the reduction, the content
+    gcd with den (none over den 1), the narrowest width, and a bound of 24
+    bits when the a priori one is wider but the slots pass the test for
+    it, or else their exact one: a product of two such bounds fits width
+    64 for every r <= 20."""
+    p = _reduce(p, f[w])
+    if not p:
+        return _new(mode, 0, 1, 64, 0)
+    cs = None
+    if den != 1:
+        cs = _digits(p, w)
+        g = gcd(den, *cs)
+        if g > 1:
+            p //= g
+            den //= g
+            bound //= g
+            cs = [c // g for c in cs]
+    bits = bound.bit_length()
+    if w == 64 and bits > 24:
+        u = p + f.bias24
+        if u >= 0 and not u & f.high24:
+            return _new(mode, p, den, 64, 24)
+    if w > 64 or bits > 24:
+        if cs is None:
+            cs = _digits(p, w)
+        m = max(map(abs, cs))
+        bits = m.bit_length()
+        if _width(m) != w:
+            w = _width(m)
+            p = _pack(cs, w)
+    return _new(mode, p, den, w, bits)
 
 
 def specialize(x: ScalarGeneric, r: int) -> ScalarCyclotomic:
@@ -552,13 +676,15 @@ def _lcm_step(den, d, folded: list):
 def _contract(pairs, mode):
     """Sum of x * y over the (x, y) pairs, exactly, normalized once: the
     numerators are convolved into one accumulator over a running common
-    denominator, then root mode reduces mod Phi_{4r} and by the content
-    gcd, and generic mode cancels the polynomial gcd (none over den 1).
-    A generic product by a unit +-a^e is the other factor's numerator
-    shifted and signed, canonical as it stands: no gcd, no convolution.
+    denominator.  Root mode multiplies packed residues, at a slot width
+    the a priori bound of the sum provably fits, reduces the sum once mod
+    Phi_{4r} and takes the content gcd only over den != 1.  Generic mode
+    cancels the polynomial gcd (none over den 1).  A generic product by a
+    unit +-a^e is the other factor's numerator shifted and signed,
+    canonical as it stands: no gcd, no convolution.
     """
-    folded: list = []
     if not mode.is_root:
+        folded: list = []
         if len(pairs) == 1:
             x, y = pairs[0]
             for u, v in ((y, x), (x, y)):
@@ -591,46 +717,84 @@ def _contract(pairs, mode):
         if den == _ONE:
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
         return ScalarGeneric(num, den)
-    acc = []                    # grown to the longest product, reduced once
+    f = mode._field
+    n = f.n
+    acc, den, bound, rest = _accumulate(pairs, n, 64)
+    w = 64
+    if rest or bound > f.limit:
+        # the products at width 64 are in acc; the others need a wider one
+        held = bound
+        for x, y, d in rest:
+            bound += (n * (den // d)) << (x.bits + y.bits)
+            w = max(w, x.width, y.width)
+        w = max(w, _width(bound * f.growth))
+        if held >> 63:      # slots of acc past width 64: start again at w
+            acc, den, _, rest = _accumulate(pairs, n, w)
+        else:
+            acc = _spread(acc, 64, w)
+        for x, y, d in rest:
+            acc += _spread(x.packed, x.width, w) * (den // d) \
+                * _spread(y.packed, y.width, w)
+    return _finish(mode, f, acc, den, w, bound * f.growth)
+
+
+def _accumulate(pairs, n: int, w: int) -> tuple:
+    """(acc, den, bound, rest) for root-mode pairs: den is the lcm of the
+    x.den * y.den; acc is the sum of the x * y * den / (x.den * y.den) over
+    the pairs whose operands are both at width w, packed at w, and every
+    |slot| of it is at most bound (a product has up to n terms per slot);
+    rest lists the other pairs as (x, y, x.den * y.den)."""
+    folded: list = []
+    rest: list = []
+    acc = bound = 0
     den = 1
     for x, y in pairs:
-        xs, ys = x.coeffs, y.coeffs
-        if not xs or not ys:
+        px, py = x.packed, y.packed
+        if not px or not py:
             continue
         d = x.den * y.den
+        m = 1
         if d != den:
             grow = _lcm_step(den, d, folded)
             if grow is not None:
-                acc = [c * grow for c in acc]
+                acc *= grow
+                bound *= grow
                 den *= grow
             if d != den:
                 m = den // d
-                xs = [c * m for c in xs]
-        short = len(xs) + len(ys) - 1 - len(acc)
-        if short > 0:
-            acc += [0] * short
-        for i, c in enumerate(xs):
-            if c:
-                for j, e in enumerate(ys, i):
-                    acc[j] += c * e
-    return ScalarCyclotomic(mode, acc, den)
+        if x.width != w or y.width != w:
+            rest.append((x, y, d))
+            continue
+        bound += (n * m) << (x.bits + y.bits)
+        acc += px * py if m == 1 else px * m * py
+    return acc, den, bound, rest
 
 
 def times_a_power(x, e: int):
     """x * a^e without a multiply: generic mode shifts the numerator (the
-    result is canonical as it stands), root mode shifts the residue by
-    e mod 4r and reduces it once by the table of x^e mod Phi_{4r}
-    (multiplying by a unit keeps the content, so no gcd).  A zero shift,
-    e = 0 or e = 0 mod 4r, returns x itself."""
+    result is canonical as it stands), root mode shifts the packed residue
+    by e mod 4r slots and reduces it once.  A zero shift, e = 0 or e = 0
+    mod 4r, returns x itself."""
     if isinstance(x, ScalarGeneric):
         if not e:
             return x
         return ScalarGeneric(_lshift(x.num, e), x.den, _canonical=True)
-    e %= 4 * x.r
+    return _shift(x, e)
+
+
+def _shift(x: ScalarCyclotomic, e: int) -> ScalarCyclotomic:
+    mode = x.mode
+    e %= 4 * mode.r
     if not e:
         return x
-    cs = _cyclo_reduce([0] * e + list(x.coeffs), x.r)
-    return ScalarCyclotomic(x.mode, cs, x.den, _canonical=True)
+    f = mode._field
+    bound = (1 << x.bits) * f.growth
+    w = max(x.width, _width(bound))
+    p = _spread(x.packed, x.width, w)
+    if e >= f.half:         # a^(2r) = -1
+        e -= f.half
+        p = -p
+    return _finish(mode, f, p << w * e, x.den, w, bound)
 
 
 def clear_denominators(values, mode) -> list:
@@ -646,9 +810,14 @@ def clear_denominators(values, mode) -> list:
     if lcm == one:
         return values
     if mode.is_root:
-        return [ScalarCyclotomic(mode, [c * (lcm // v.den)
-                                        for c in v.coeffs], 1, _canonical=True)
-                for v in values]
+        out = []
+        for v in values:
+            m = lcm // v.den
+            bound = m << v.bits
+            w = max(v.width, _width(bound))
+            p = _spread(v.packed, v.width, w) * m
+            out.append(_finish(mode, mode._field, p, 1, w, bound))
+        return out
     return [ScalarGeneric.from_laurent(_lmul(v.num,
                                              _poly_divexact(lcm, v.den)))
             for v in values]
@@ -730,11 +899,19 @@ class RootMode(Mode):
         return mode
 
     def from_int(self, n: int):
-        return ScalarCyclotomic(self, (n,) if n else (), 1, _canonical=True)
+        return _new(self, n, 1, _width(abs(n)), abs(n).bit_length())
 
     def a_power(self, e: int):
-        e %= 4 * self.r
-        return ScalarCyclotomic(self, [0] * e + [1])
+        return self._a_powers[e % (4 * self.r)]
+
+    @cached_property
+    def _field(self) -> "_Field":
+        return _Field(self.r)
+
+    @cached_property
+    def _a_powers(self) -> tuple:
+        one = self.one()
+        return tuple(_shift(one, e) for e in range(4 * self.r))
 
     def __repr__(self):
         return f"root:{self.r}"

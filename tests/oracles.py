@@ -10,7 +10,9 @@ by the full braided composite d . c . ((theta f) x id) . b,
 sparse products, traces, diagram composition, plain closures and the
 functor's linear extension by pairwise scalar products and sums, the
 scalar operators and the elimination row update by per-field bodies that
-never enter the contraction kernel, polynomial gcds by the primitive
+never enter the contraction kernel, root-mode sums by coefficient lists
+reduced by a table of the powers of a mod Phi_4r, not by packed residues,
+polynomial gcds by the primitive
 remainder sequence and exact quotients on the dense lists in a itself,
 not by evaluation and not in a power of a, the functor on a simple
 diagram by composing elementary cap and cup layers, the pairing of functor
@@ -399,6 +401,61 @@ def xgcd_inverse(x):
     cs = [c.numerator * (den_lcm // c.denominator) * x.den * g.denominator
           for c in u]
     return ScalarCyclotomic(x.mode, cs, den_lcm * g.numerator)
+
+
+@cache
+def _power_table(r: int) -> tuple:
+    """(deg Phi_{4r}, rows): row e is x^e mod Phi_{4r} for e < 4r, as its
+    nonzero (index, coeff) pairs; x^{4r} = 1 modulo Phi_{4r}, so the rows
+    repeat with period 4r."""
+    phi = cyclotomic_poly(4 * r)
+    deg = len(phi) - 1
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(4 * r):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+    return deg, tuple(rows)
+
+
+def _cyclo_reduce(cs: list, r: int) -> list:
+    """An integer coefficient list mod Phi_{4r}, by the table of powers,
+    trailing zeros dropped."""
+    deg, table = _power_table(r)
+    if len(cs) > deg:
+        order = 4 * r
+        out = cs[:deg]
+        for e in range(deg, len(cs)):
+            c = cs[e]
+            if c:
+                for j, t in table[e % order]:
+                    out[j] += c * t
+        cs = out
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def list_contract(pairs, r: int) -> tuple:
+    """(coeffs, den) of the sum of x * y over root-mode pairs, by
+    coefficient lists: the products convolved over the lcm of the
+    denominators, reduced by the table of powers, and the content gcd
+    cancelled, never through a packed residue."""
+    den = math.lcm(1, *(x.den * y.den for x, y in pairs))
+    acc = [0] * (2 * len(cyclotomic_poly(4 * r)))
+    for x, y in pairs:
+        m = den // (x.den * y.den)
+        for i, c in enumerate(x.coeffs):
+            for j, e in enumerate(y.coeffs, i):
+                acc[j] += m * c * e
+    cs = _cyclo_reduce(acc, r)
+    g = gcd(den, *cs)
+    if not cs:
+        return (), 1
+    return tuple(c // g for c in cs), den // g
 
 
 def pairwise_row_update(u, v, c):

@@ -8,18 +8,19 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (dense_poly_divexact, dense_poly_gcd, pairwise_add,
-                     pairwise_mul, pairwise_row_update, pairwise_truediv,
-                     xgcd_inverse)
+from oracles import (_cyclo_reduce, dense_poly_divexact, dense_poly_gcd,
+                     list_contract, pairwise_add, pairwise_mul,
+                     pairwise_row_update, pairwise_truediv, xgcd_inverse)
 from skeinrep import scalars
 from skeinrep.linalg import vec_sub_scaled
 from skeinrep.cli import MAX_ROOT
 from skeinrep.scalars import (GENERIC, MOD_POINT, MOD_PRIME,
                               _MOD_GENERATOR, PoleError, RootMode,
                               ScalarCyclotomic, ScalarGeneric, _contract,
-                              _cyclo_reduce, _gcd_cofactors, _lcm_step,
-                              _list_divexact, _lmul, _lscale, _lshift,
-                              _poly_divexact, clear_denominators,
+                              _gcd_cofactors, _inverse, _lcm_step,
+                              _list_divexact, _lmul, _lscale, _lshift, _pack,
+                              _poly_divexact, _reduce, _width,
+                              clear_denominators,
                               cyclotomic_poly, format_scalar, mod_map,
                               mod_root, parse_mode, parse_scalar, specialize,
                               times_a_power)
@@ -201,17 +202,24 @@ def test_cyclotomic_format_parse():
 
 
 # ---------------------------------------------------------------------------
-# the cyclotomic core: table reduction, canonical form, contraction kernel
+# the cyclotomic core: packed reduction, canonical form, contraction kernel
 
 def _deg(r):
     return len(cyclotomic_poly(4 * r)) - 1
 
 
+# coefficients and denominators on both sides of every slot width up to
+# 512 bits: small ones, ones near 2^64 and ones up to 2^300
+_COEFF = st.one_of(st.integers(-40, 40), st.integers(-2 ** 70, 2 ** 70),
+                   st.integers(-2 ** 300, 2 ** 300))
+_DEN = st.one_of(st.integers(-12, 12), st.integers(-2 ** 70, 2 ** 70)) \
+    .filter(bool)
+
+
 def _cyclo(r):
     # any integer list over any nonzero integer, reduced by the constructor
     return st.builds(lambda cs, den: ScalarCyclotomic(RootMode(r), cs, den),
-                     st.lists(st.integers(-40, 40), max_size=2 * _deg(r) + 3),
-                     st.integers(-12, 12).filter(bool))
+                     st.lists(_COEFF, max_size=2 * _deg(r) + 3), _DEN)
 
 
 def _assert_canonical(z, r):
@@ -224,9 +232,14 @@ def _assert_canonical(z, r):
     for c in z.coeffs:
         g = gcd(g, c)
     assert g == 1
+    # one packed int at the narrowest width that holds it, within its bound
+    top = max(map(abs, z.coeffs), default=0)
+    assert z.width == _width(top) and z.packed == _pack(z.coeffs, z.width)
+    assert top <= 2 ** z.bits
 
 
-@pytest.mark.parametrize("r", range(3, 9))
+# r = 15 is the one order up to 20 whose reduction takes several a^n steps
+@pytest.mark.parametrize("r", [*range(3, 9), 15, 19, 20])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_cyclo_reduce_matches_sympy_remainder(r, data):
@@ -234,13 +247,59 @@ def test_cyclo_reduce_matches_sympy_remainder(r, data):
     x = sympy.Symbol("x")
     phi = sympy.cyclotomic_poly(4 * r, x)
     assert sympy.Poly(phi, x).all_coeffs()[::-1] == cyclotomic_poly(4 * r)
-    cs = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+    cs = data.draw(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                                      _COEFF),
                             min_size=2 * _deg(r) + 1, max_size=10 * r))
     rem = sympy.rem(sum(c * x ** e for e, c in enumerate(cs)), phi, x)
     want = [int(c) for c in sympy.Poly(rem, x).all_coeffs()[::-1]]
     while want and want[-1] == 0:
         want.pop()
     assert _cyclo_reduce(list(cs), r) == want
+    # the packed reduction: through the constructor, which folds by a^(4r)
+    # = 1 first, and straight on the slots below 4r, at the narrowest width
+    # the bound admits and at one twice as wide
+    assert list(ScalarCyclotomic(RootMode(r), cs).coeffs) == want
+    low = cs[:4 * r - 1]
+    rem = sympy.rem(sum(c * x ** e for e, c in enumerate(low)), phi, x)
+    want = [int(c) for c in sympy.Poly(rem, x).all_coeffs()[::-1]]
+    f = RootMode(r)._field
+    w = _width(max(map(abs, low)) * f.growth)
+    for w in (w, 2 * w):
+        got = _reduce(_pack(low, w), f[w])
+        assert got == _pack(want, w)
+
+
+def _reduction_rows(r):
+    # each step of the reduction on slots below 4r as a linear map of them:
+    # a^(2r) = -1, then a^n = -tail while a slot at or past n is nonzero
+    f = RootMode(r)._field
+    unit = [[int(i == j) for j in range(4 * r)] for i in range(4 * r)]
+    rows = [[a - b for a, b in zip(unit[i], unit[i + f.half])]
+            for i in range(f.half)]
+    steps = [rows]
+    while any(map(any, rows[f.n:])):
+        high, rows = rows[f.n:], rows[:f.n] + [[0] * (4 * r)] * len(rows)
+        for j, row in enumerate(high):
+            for k, t in enumerate(f.tail):
+                rows[j + k] = [a - t * b for a, b in zip(rows[j + k], row)]
+        while not any(rows[-1]):
+            rows.pop()
+        steps.append(rows)
+    return steps
+
+
+@pytest.mark.parametrize("r", [*range(3, 9), 15, 19, 20])
+def test_reduction_growth_bounds_every_step(r):
+    # growth bounds every slot of every step over inputs in [-1, 1]: the
+    # largest l1 norm of a row of a step's map.  The input signed like that
+    # row, each slot as large as width 64 admits, reduces exactly there.
+    mode, f = RootMode(r), RootMode(r)._field
+    norm, row = max((sum(map(abs, row)), row)
+                    for rows in _reduction_rows(r) for row in rows)
+    assert norm <= f.growth
+    cs = [f.limit * ((c > 0) - (c < 0)) for c in row]
+    z = ScalarCyclotomic(mode, cs)
+    assert z.width == 64 and list(z.coeffs) == _cyclo_reduce(cs, r)
 
 
 @pytest.mark.parametrize("r", range(3, 9))
@@ -297,7 +356,13 @@ def _assert_generic_canonical(z, sympy, a):
         assert z.den == {0: 1}
 
 
-@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in range(3, 9)],
+# the kernel's modes: r = 19 and 20 have the largest degrees admitted, and
+# r = 15 the most steps of reduction
+_KERNEL_MODES = [GENERIC] + [RootMode(r) for r in (*range(3, 9), 15, 19,
+                                                   20)]
+
+
+@pytest.mark.parametrize("mode", _KERNEL_MODES,
                          ids=lambda m: str(m.r) if m.is_root else "generic")
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -321,6 +386,7 @@ def test_contraction_kernel_matches_pairwise_sum(mode, data):
     if mode.is_root:
         _assert_canonical(got, mode.r)
         _assert_canonical(total, mode.r)
+        assert (got.coeffs, got.den) == list_contract(pairs, mode.r)
         phi = sympy.cyclotomic_poly(4 * mode.r, a)
         expect = sympy.rem(sympy.expand(sum(_to_sympy(x, a) * _to_sympy(y, a)
                                             for x, y in pairs)), phi, a)
@@ -336,7 +402,7 @@ def test_contraction_kernel_matches_pairwise_sum(mode, data):
     assert sympy.cancel(_to_sympy(total, a) - expect) == 0
 
 
-@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in range(3, 9)],
+@pytest.mark.parametrize("mode", _KERNEL_MODES,
                          ids=lambda m: str(m.r) if m.is_root else "generic")
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -392,9 +458,10 @@ def _same_form(got, want):
         assert (got.num, got.den) == (want.num, want.den)
     else:
         assert (got.coeffs, got.den) == (want.coeffs, want.den)
+        assert (got.packed, got.width) == (want.packed, want.width)
 
 
-@pytest.mark.parametrize("mode", _MODES, ids=str)
+@pytest.mark.parametrize("mode", _KERNEL_MODES, ids=str)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_operators_match_pairwise_oracles(mode, data):
@@ -416,8 +483,16 @@ def test_operators_match_pairwise_oracles(mode, data):
                 div / num
             with pytest.raises(ZeroDivisionError):
                 pairwise_truediv(div, num)
-        else:
+        elif not mode.is_root or (mode.r <= 8 and den.bits <= 64):
             cases.append((div / num, pairwise_truediv(div, num)))
+        else:
+            # the Euclid oracle over Fraction polynomials takes seconds on
+            # such divisors (12 s for 70-bit slots at r = 19); a canonical
+            # quotient whose pairwise product with num is div is div / num
+            got = div / num
+            _assert_field_canonical(got, mode, sympy, a)
+            cases.append((pairwise_mul(got, num), div if isinstance(
+                div, ScalarCyclotomic) else mode.from_int(div)))
     for got, want in cases:
         _same_form(got, want)
         _assert_field_canonical(got, mode, sympy, a)
@@ -485,6 +560,42 @@ def test_cyclotomic_inv_of_zero_raises(r):
         RootMode(r).zero().inv()
     with pytest.raises(ZeroDivisionError):
         xgcd_inverse(RootMode(r).zero())
+
+
+@pytest.mark.parametrize("r", [3, 5, 19, 20])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_repeated_inverses_match_euclid_oracle(r, data):
+    # inverses are memoized by value: equal values built apart, and the
+    # same value asked again, give the Euclid oracle's inverse each time
+    x = data.draw(_invertible_candidate(r))
+    if x.is_zero():
+        return
+    twin = ScalarCyclotomic(RootMode(r), x.coeffs, x.den)
+    assert twin == x and twin is not x
+    want = xgcd_inverse(x)
+    for z in (x, twin, x, twin):
+        _same_form(z.inv(), want)
+    assert x.inv() is twin.inv()
+    _same_form(_inverse.__wrapped__(x), want)
+
+
+@pytest.mark.parametrize("r", [3, 5, 19, 20])
+@pytest.mark.parametrize("k", [1, 63, 64, 200])
+def test_wide_intermediates_give_the_narrow_value(r, k):
+    # a value taken through slots wider than it needs comes back at the
+    # narrowest width: equal, equally hashed and packed alike
+    mode = RootMode(r)
+    x = mode.a_power(3) - 2 + mode.a_power(-1) / 3
+    for z in ((x * 2 ** k) / 2 ** k, (x * 2 ** k - x * (2 ** k - 1)),
+              times_a_power(times_a_power(x * 2 ** k, 5), -5) / 2 ** k,
+              clear_denominators([x, mode.one() / 2 ** k], mode)[0] / (3 << k)):
+        assert z == x and hash(z) == hash(x)
+        assert (z.packed, z.den, z.width) == (x.packed, x.den, x.width)
+        _assert_canonical(z, r)
+    wide = x * 2 ** k
+    _assert_canonical(wide, r)
+    assert wide.width == _width(max(abs(c) for c in wide.coeffs))
 
 
 def test_mixed_root_orders_refused_by_every_operator():
@@ -759,11 +870,16 @@ def test_cli_import_leaves_sympy_out():
 @given(data=st.data())
 def test_mod_map_is_a_ring_map(mode, data):
     phi, p = mod_map(mode), MOD_PRIME
-    x, y = data.draw(_draw_scalar(mode)), data.draw(_draw_scalar(mode))
+    # phi is defined where no denominator is a multiple of p; the wide
+    # root-mode draws reach p itself
+    draw = _draw_scalar(mode)
+    if mode.is_root:
+        draw = draw.filter(lambda z: z.den % p)
+    x, y = data.draw(draw), data.draw(draw)
     assert phi(x + y) == (phi(x) + phi(y)) % p
     assert phi(x * y) == phi(x) * phi(y) % p
     assert phi(mode.one()) == 1 and phi(mode.zero()) == 0
-    if not y.is_zero():
+    if phi(y):
         assert phi(x / y) * phi(y) % p == phi(x)
     assert phi(mode.a_power(1)) \
         == (mod_root(mode.r) if mode.is_root else MOD_POINT)

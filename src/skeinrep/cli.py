@@ -38,10 +38,19 @@ from .functor import FunctorReport, verify_equivalence
 # generically (medians 0.25 and 0.24 s), and homdim 7,3 0, 3,7 0,
 # 7,2,1 0 and 6,4 0 0.28 to 0.49 s at r = 19 (medians 0.35, 0.32, 0.41
 # and 0.45 s; 2-CPU x86-64 machine, BENCH_packed_residues.json).
+# A bracket word costs its layers times the terms of its widest layer, up
+# to Catalan(width / 2) diagrams: a 22-strand word of 132 crossings took
+# 134 s cold, 20 strands and 60 crossings 3.3 s.  At the limits below,
+# the slowest word measured, 16 strands (8 cups, 64 crossings, 8 caps),
+# takes 1.0 to 1.9 s cold, generic or at r = 19 or 20; every word of the
+# test corpus and the benchmark is at most 6 strands wide and 10
+# crossings long.
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair
 MAX_ROOT = 20       # largest r of a root:<r> mode; RootMode has no limit
+MAX_WORD_WIDTH = 16     # most strands of any layer of a bracket word
+MAX_WORD_LAYERS = 80    # most layers of a bracket word
 # A Gram override entry is reduced over Q(a) before anything else, at a
 # cost set by its degrees and digits, not by the pair: a 15 KB dense entry
 # took 86 s, and a^20000 + 3*a^7 + 1 / a^19999 + 2*a^5 + 1 6.8 s.  Over
@@ -116,6 +125,13 @@ def _cmd_bracket(args, mode: Mode) -> int:
         value = mode.one()
     else:
         word = parse_word(text)
+        width = max(max(L[-1] for L in word.layers), word.outputs)
+        if width > MAX_WORD_WIDTH:
+            raise UsageError(f"word is {width} strands wide, above the "
+                             f"limit of {MAX_WORD_WIDTH}")
+        if len(word.layers) > MAX_WORD_LAYERS:
+            raise UsageError(f"word has {len(word.layers)} layers, above "
+                             f"the limit of {MAX_WORD_LAYERS}")
         value = bracket(word, mode)
     body = format_scalar(value)
     if args.format == "json":

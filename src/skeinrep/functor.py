@@ -24,8 +24,8 @@ from .scalars import GENERIC, MOD_PRIME, Mode, PoleError, _contract, \
     clear_denominators, mod_map, times_a_power
 from . import linalg
 from .diagrams import SimpleDiagram, TLMorphism
-from .turaev import good_type_diagrams, hom_basis, object_seq, \
-    purified_hom_dim, seq_size
+from .turaev import good_type_diagrams, object_seq, purified_hom_dim, \
+    seq_size
 from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
     _symmetrizer_factors, elementary_morphisms, hw_projector, mask_weight, \
     rep_hom_basis, rep_hom_coordinates
@@ -167,25 +167,26 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
     """Matrix of the functor from the diagram-side hom basis to the
     projector-compressed intertwiner basis.
 
-    Columns follow hom_basis(s, t); rows follow the first intertwiners h
-    whose compressions f_t h f_s are independent, in canonical order.
-    Each compression is taken as f_t h C_s, with C_s the image columns of
-    f_s (those of F_object); X -> X C_s is injective on maps with
-    X = X f_s, so the kept rows and the coordinates are those of f_t h f_s.
-    Both projectors enter as lambda f, which scales every compression
-    alike, and both act color by color (_apply_colors): f_t on the target
-    of h, then f_s, which is symmetric, on its source, keeping the image
-    columns C_s alone.  One exact RREF of the compressions gives the kept
-    rows, its pivots, and in its row with pivot u the coefficient on
-    compression u of every compression.  Each image F(h) is the sum of the
-    intertwiners weighted by its coordinates (rep_hom_coordinates, which
-    raises ValueError for an image outside their span), so its coordinate
-    on u is one contraction of that row against them.
+    Columns follow hom_basis(s, t), the hatted good_type_diagrams(s, t);
+    rows follow the first intertwiners h whose compressions f_t h f_s are
+    independent, in canonical order.  Each compression is taken as
+    f_t h C_s, with C_s the image columns of f_s (those of F_object);
+    X -> X C_s is injective on maps with X = X f_s, so the kept rows and
+    the coordinates are those of f_t h f_s.  Both projectors enter as
+    lambda f, which scales every compression alike, and both act color by
+    color (_apply_colors): f_t on the target of h, then f_s, which is
+    symmetric, on its source, keeping the image columns C_s alone.  One
+    exact RREF of the compressions gives the kept rows, its pivots, and in
+    its row with pivot u the coefficient on compression u of every
+    compression.  The image of the hatted diagram
+    f_t d f_s is F(hat d) = f_t F(d) f_s, the compression of F(d) = sum_w
+    c_w h_w (_image_coordinates, which raises ValueError for an image
+    outside the span), so its coordinate on u is one contraction of that
+    row against the c_w of the good-type diagram d itself.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    coords = [rep_hom_coordinates(F_diagram(h.value))
-              for h in hom_basis(s, t, mode)]
+    coords = [_image_coordinates(d, mode) for d in good_type_diagrams(s, t)]
     image = set(_image_columns(s))
     compressions = []
     for h in rep_hom_basis(seq_size(s), seq_size(t), mode):
@@ -196,7 +197,7 @@ def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
         compressions.append({key: v for key, v in right.items()
                              if key[0] in image})
     rref = linalg.rref_rows(linalg.transpose(compressions))
-    return [[_contract([(x, c[j]) for j, x in row.items()], mode)
+    return [[_contract([(x, c[j]) for j, x in row.items() if j in c], mode)
              for c in coords] for row in rref]
 
 

@@ -569,7 +569,6 @@ class _Field(dict):
             b = low
             growth = max(growth, *b)
         self.growth = growth
-        self.limit = ((1 << 63) - 1) // growth   # bound * growth < 2^63
         # -2^24 <= c < 2^24 in every slot at width 64, the test of _finish
         self.bias24 = _bias(64, n) >> 39
         self.high24 = (_bias(64, n) << 1) - (self.bias24 << 1)
@@ -599,12 +598,15 @@ def _reduce(p: int, consts) -> int:
 
 
 def _finish(mode, f: _Field, p: int, den: int, w: int, bound: int):
-    """The canonical scalar p / den, for p at width w that _reduce admits
-    and with every |slot| <= bound once reduced: the reduction, the content
-    gcd with den (none over den 1), the narrowest width, and a bound of 24
-    bits when the a priori one is wider but the slots pass the test for
-    it, or else their exact one: a product of two such bounds fits width
-    64 for every r <= 20."""
+    """The canonical scalar p / den, for p at width w with no slot at or
+    past 4r and every |slot| <= bound through the reduction (at most
+    growth times its input's): p spread first to the width bound fits
+    when w does not, the reduction, the content gcd with den (none over
+    den 1), the narrowest width, and a bound of 24 bits when the a priori
+    one is wider but the slots pass the test for it, or else their exact
+    one: a product of two such bounds fits width 64 for every r <= 20."""
+    if bound >> (w - 1):
+        p, w = _spread(p, w, _width(bound)), _width(bound)
     p = _reduce(p, f[w])
     if not p:
         return _new(mode, 0, 1, 64, 0)
@@ -676,12 +678,14 @@ def _lcm_step(den, d, folded: list):
 def _contract(pairs, mode):
     """Sum of x * y over the (x, y) pairs, exactly, normalized once: the
     numerators are convolved into one accumulator over a running common
-    denominator.  Root mode multiplies packed residues, at a slot width
-    the a priori bound of the sum provably fits, reduces the sum once mod
-    Phi_{4r} and takes the content gcd only over den != 1.  Generic mode
-    cancels the polynomial gcd (none over den 1).  A generic product by a
-    unit +-a^e is the other factor's numerator shifted and signed,
-    canonical as it stands: no gcd, no convolution.
+    denominator.  Root mode multiplies packed residues in one pass at width
+    64, and in one more when an operand is wider or the a priori bound of
+    the sum passes 64 bits, at a width that bound provably fits through the
+    reduction; _finish reduces the sum once mod Phi_{4r} and takes the
+    content gcd only over den != 1.  Generic mode cancels the polynomial
+    gcd (none over den 1).  A generic product by a unit +-a^e is the other
+    factor's numerator shifted and signed, canonical as it stands: no gcd,
+    no convolution.
     """
     if not mode.is_root:
         folded: list = []
@@ -718,36 +722,25 @@ def _contract(pairs, mode):
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
         return ScalarGeneric(num, den)
     f = mode._field
-    n = f.n
-    acc, den, bound, rest = _accumulate(pairs, n, 64)
+    acc, den, bound, widest = _accumulate(pairs, f.n, 64)
     w = 64
-    if rest or bound > f.limit:
-        # the products at width 64 are in acc; the others need a wider one
-        held = bound
-        for x, y, d in rest:
-            bound += (n * (den // d)) << (x.bits + y.bits)
-            w = max(w, x.width, y.width)
-        w = max(w, _width(bound * f.growth))
-        if held >> 63:      # slots of acc past width 64: start again at w
-            acc, den, _, rest = _accumulate(pairs, n, w)
-        else:
-            acc = _spread(acc, 64, w)
-        for x, y, d in rest:
-            acc += _spread(x.packed, x.width, w) * (den // d) \
-                * _spread(y.packed, y.width, w)
+    if widest > 64 or bound >> 63:
+        w = max(widest, _width(bound * f.growth))
+        acc = _accumulate(pairs, f.n, w)[0]
     return _finish(mode, f, acc, den, w, bound * f.growth)
 
 
 def _accumulate(pairs, n: int, w: int) -> tuple:
-    """(acc, den, bound, rest) for root-mode pairs: den is the lcm of the
-    x.den * y.den; acc is the sum of the x * y * den / (x.den * y.den) over
-    the pairs whose operands are both at width w, packed at w, and every
-    |slot| of it is at most bound (a product has up to n terms per slot);
-    rest lists the other pairs as (x, y, x.den * y.den)."""
+    """(acc, den, bound, widest) for root-mode pairs: den is the lcm of the
+    x.den * y.den, every |slot| of the sum of the x * y * den / (x.den *
+    y.den) is at most bound (a product has up to n terms per slot), and
+    widest is the widest operand width, at least 64.  acc is that sum
+    packed at w, each operand narrower than w spread to it, when widest <=
+    w; past that the products of wider operands are left out of it."""
     folded: list = []
-    rest: list = []
     acc = bound = 0
     den = 1
+    widest = 64
     for x, y in pairs:
         px, py = x.packed, y.packed
         if not px or not py:
@@ -762,12 +755,14 @@ def _accumulate(pairs, n: int, w: int) -> tuple:
                 den *= grow
             if d != den:
                 m = den // d
-        if x.width != w or y.width != w:
-            rest.append((x, y, d))
-            continue
         bound += (n * m) << (x.bits + y.bits)
+        if x.width != w or y.width != w:
+            widest = max(widest, x.width, y.width)
+            if widest > w:
+                continue
+            px, py = _spread(px, x.width, w), _spread(py, y.width, w)
         acc += px * py if m == 1 else px * m * py
-    return acc, den, bound, rest
+    return acc, den, bound, widest
 
 
 def times_a_power(x, e: int):
@@ -788,18 +783,16 @@ def _shift(x: ScalarCyclotomic, e: int) -> ScalarCyclotomic:
     if not e:
         return x
     f = mode._field
-    bound = (1 << x.bits) * f.growth
-    w = max(x.width, _width(bound))
-    p = _spread(x.packed, x.width, w)
-    if e >= f.half:         # a^(2r) = -1
-        e -= f.half
-        p = -p
-    return _finish(mode, f, p << w * e, x.den, w, bound)
+    p = x.packed << x.width * (e % f.half)      # a^(2r) = -1
+    return _finish(mode, f, p if e < f.half else -p, x.den, x.width,
+                   (1 << x.bits) * f.growth)
 
 
 def clear_denominators(values, mode) -> list:
     """The values times the lcm of their denominators (by the lcm step of
-    _contract); lcm / den is exact, so no value needs a gcd."""
+    _contract), each one product with the lcm through _contract; lcm / den
+    is exact, so the content gcd of _finish (root) or _canonicalize
+    (generic) brings every product to denominator 1."""
     values = list(values)
     one = 1 if mode.is_root else _ONE
     lcm, folded = one, []
@@ -809,18 +802,8 @@ def clear_denominators(values, mode) -> list:
             lcm = lcm * grow if mode.is_root else _lmul(lcm, grow)
     if lcm == one:
         return values
-    if mode.is_root:
-        out = []
-        for v in values:
-            m = lcm // v.den
-            bound = m << v.bits
-            w = max(v.width, _width(bound))
-            p = _spread(v.packed, v.width, w) * m
-            out.append(_finish(mode, mode._field, p, 1, w, bound))
-        return out
-    return [ScalarGeneric.from_laurent(_lmul(v.num,
-                                             _poly_divexact(lcm, v.den)))
-            for v in values]
+    m = mode.from_int(lcm) if mode.is_root else ScalarGeneric.from_laurent(lcm)
+    return [_contract(((v, m),), mode) for v in values]
 
 
 # ---------------------------------------------------------------------------

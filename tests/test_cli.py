@@ -1,7 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from skeinrep.cli import (MAX_ENTRY_CHARS, MAX_ENTRY_SPAN, _override_entry,
-                          main)
+from corpus import CLOSED_WORDS
+from skeinrep.cli import (MAX_ENTRY_CHARS, MAX_ENTRY_SPAN, MAX_WORD_LAYERS,
+                          MAX_WORD_WIDTH, _override_entry, main)
 from skeinrep.diagrams import bracket, parse_word
 from skeinrep.scalars import GENERIC, RootMode, format_scalar
 
@@ -283,6 +286,71 @@ def test_override_entries_in_exponent_notation_are_refused(tmp_path, mode):
         assert (code, out) == (1, ""), text
         assert err == f"error: {override}: matrix row 2, column 2: " \
             f"bad coefficient {bad!r}\n", text
+
+
+def _wide_word(n, crossings, seed=1):
+    # cups up to n strands, random crossings on all n, then caps back down
+    rng = random.Random(seed)
+    lines = [f"cup {1 + i} of {2 * i}" for i in range(n // 2)]
+    lines += [f"x{rng.choice('+-')} {rng.randint(1, n - 1)} of {n}"
+              for _ in range(crossings)]
+    lines += [f"cap 1 of {2 * i}" for i in range(n // 2, 0, -1)]
+    return "\n".join(lines) + "\n"
+
+
+def _benchmark_inputs():
+    # perfbench/inputs.py, which draws the benchmark's bracket words
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_bracket_words_at_and_past_the_limits(tmp_path):
+    word = tmp_path / "limit.word"
+    at_limit = [_wide_word(MAX_WORD_WIDTH, 1),
+                "cup 1 of 0\n" + "x+ 1 of 2\n" * (MAX_WORD_LAYERS - 2)
+                + "cap 1 of 2\n"]
+    for text in at_limit:
+        word.write_text(text)
+        code, out, err = run_cli("bracket", word)
+        assert (code, err) == (0, "")
+        assert out == format_scalar(bracket(parse_word(text))) + "\n"
+    past = [(_wide_word(MAX_WORD_WIDTH + 2, 1),
+             f"word is {MAX_WORD_WIDTH + 2} strands wide, above the limit "
+             f"of {MAX_WORD_WIDTH}"),
+            (at_limit[1] + "cup 1 of 0\ncap 1 of 2\n",
+             f"word has {MAX_WORD_LAYERS + 2} layers, above the limit of "
+             f"{MAX_WORD_LAYERS}"),
+            # an open word is refused by its top width like any other
+            ("".join(f"cup 1 of {2 * i}\n" for i in range(9)),
+             f"word is 18 strands wide, above the limit of {MAX_WORD_WIDTH}"),
+            # 132 crossings on 22 strands ran for 134 s cold
+            (_wide_word(22, 132), "word is 22 strands wide, above the limit "
+                                  f"of {MAX_WORD_WIDTH}")]
+    for mode in ("generic", "root:19"):
+        for text, reason in past:
+            word.write_text(text)
+            start = time.perf_counter()
+            code, out, err = run_cli("bracket", word, "--mode", mode)
+            assert time.perf_counter() - start < 0.5, reason
+            assert (code, out, err) == (1, "", f"error: {reason}\n")
+    # every word of the corpus and of the benchmark stays admitted: the
+    # benchmark draws words of at most MAX_CROSSINGS crossings on at most
+    # MAX_WORD_WIDTH strands by a random walk of cups, crossings and caps
+    inputs = _benchmark_inputs()
+    rng = random.Random(0)
+    words = [text.replace(";", "\n") for _, text in CLOSED_WORDS]
+    words += [inputs.word_text(inputs.random_word(inputs.MAX_CROSSINGS, rng))
+              for _ in range(2000)]
+    for text in words:
+        w = parse_word(text)
+        assert max(L[-1] for L in w.layers) <= MAX_WORD_WIDTH
+        assert len(w.layers) <= MAX_WORD_LAYERS
+    for text in words[::100]:
+        word.write_text(text)
+        assert run_cli("bracket", word)[0] == 0
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),

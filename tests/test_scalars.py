@@ -1,7 +1,7 @@
 import ast
 import subprocess
 import sys
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from unittest import mock
 
@@ -16,8 +16,8 @@ from skeinrep.linalg import vec_sub_scaled
 from skeinrep.cli import MAX_ROOT
 from skeinrep.scalars import (GENERIC, MOD_POINT, MOD_PRIME,
                               _MOD_GENERATOR, PoleError, RootMode,
-                              ScalarCyclotomic, ScalarGeneric, _contract,
-                              _gcd_cofactors, _inverse, _lcm_step,
+                              ScalarCyclotomic, ScalarGeneric, _accumulate,
+                              _contract, _gcd_cofactors, _inverse, _lcm_step,
                               _list_divexact, _lmul, _lscale, _lshift, _pack,
                               _poly_divexact, _reduce, _width,
                               clear_denominators,
@@ -297,7 +297,8 @@ def test_reduction_growth_bounds_every_step(r):
     norm, row = max((sum(map(abs, row)), row)
                     for rows in _reduction_rows(r) for row in rows)
     assert norm <= f.growth
-    cs = [f.limit * ((c > 0) - (c < 0)) for c in row]
+    limit = ((1 << 63) - 1) // f.growth     # bound * growth < 2^63
+    cs = [limit * ((c > 0) - (c < 0)) for c in row]
     z = ScalarCyclotomic(mode, cs)
     assert z.width == 64 and list(z.coeffs) == _cyclo_reduce(cs, r)
 
@@ -596,6 +597,86 @@ def test_wide_intermediates_give_the_narrow_value(r, k):
     wide = x * 2 ** k
     _assert_canonical(wide, r)
     assert wide.width == _width(max(abs(c) for c in wide.coeffs))
+
+
+def _kernel_branch(pairs, f):
+    # the widest operand width, and where the sum's slots first pass width
+    # 64: 0 nowhere, 1 in the reduction (one pass, reduced wider), 2 in
+    # the products (a second pass)
+    _, _, bound, widest = _accumulate(pairs, f.n, 64)
+    return widest, (bound >> 63 > 0) + (bound * f.growth >> 63 > 0)
+
+
+def _kernel_pairs(mode, case):
+    # (pairs, branch): deterministic pairs for one branch of the root
+    # kernel.  On width 64 every operand has all its coefficients 2^b - 1,
+    # so the sum nears its bound, with product bits s: the largest s that
+    # keeps to the branch, or the least that passes 64 bits in the sum
+    f = mode._field
+
+    def z(bits, den=1, shift=0):
+        return ScalarCyclotomic(mode, [0] * shift + [(1 << bits) - 1] * f.n,
+                                den)
+
+    def near(s):
+        return [(z(s // 2), z(s - s // 2)), (z(s // 2), z(s - 1 - s // 2))]
+    if case.startswith("width 64"):
+        branch = (64, ["bound fits", "reduced wider", "summed wider"].index(
+            case[len("width 64, "):]))
+        reach = [s for s in range(2, 64)
+                 if _kernel_branch(near(s), f) == branch]
+        return near(min(reach) if branch[1] == 2 else max(reach)), branch
+    if case == "one at 128":
+        pairs = [(z(2), z(3, shift=1)), (z(100), z(5)), (z(6), z(1))]
+    else:
+        pairs = [(z(2, 3), z(3, shift=1)), (z(5, 7), z(100, 5, shift=2)),
+                 (z(6), z(1, 9))]
+    return pairs, (128, 2)
+
+
+@pytest.mark.parametrize("r", [5, 19])
+@pytest.mark.parametrize("case", ["width 64, bound fits",
+                                  "width 64, reduced wider",
+                                  "width 64, summed wider", "one at 128",
+                                  "mixed denominators"])
+def test_each_branch_of_the_root_kernel(r, case):
+    # one pass at width 64, reduced there or, when the bound passes 64 bits
+    # only through the reduction, spread wider by _finish; or a second pass
+    # at the width the bound fits when an operand or a product is wider.
+    # In both orders of the pairs, against the coefficient-list oracle, at
+    # the narrowest width; a result past 64 bits shows that the wider slots
+    # were needed
+    mode = RootMode(r)
+    pairs, branch = _kernel_pairs(mode, case)
+    for order in (pairs, pairs[::-1]):
+        assert _kernel_branch(order, mode._field) == branch
+        got = _contract(order, mode)
+        assert (got.coeffs, got.den) == list_contract(order, r)
+        _assert_canonical(got, r)
+        assert (got.width > 64) == (branch != (64, 0))
+
+
+@pytest.mark.parametrize("mode", [GENERIC, RootMode(5), RootMode(19)],
+                         ids=str)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_clear_denominators_multiplies_by_the_lcm(mode, data):
+    # each value times the lcm of the denominators, a product through
+    # _contract, has denominator 1 and equals the pairwise product
+    values = data.draw(st.lists(_draw_scalar(mode), max_size=6))
+    got = clear_denominators(values, mode)
+    if mode.is_root:
+        m = mode.from_int(lcm(1, *(v.den for v in values)))
+    else:
+        den = {0: 1}
+        for v in values:
+            den = dense_poly_divexact(_lmul(den, v.den),
+                                      dense_poly_gcd(den, v.den))
+        m = ScalarGeneric.from_laurent(den)
+    assert len(got) == len(values)
+    for v, c in zip(values, got):
+        assert c.den == mode.one().den
+        _same_form(c, pairwise_mul(v, m))
 
 
 def test_mixed_root_orders_refused_by_every_operator():

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import linalg
-from .diagrams import WordError, bracket, parse_word
+from .diagrams import GeneratorWord, WordError, bracket, parse_layers
 from .scalars import (Mode, format_scalar, parse_laurent, parse_mode,
                       parse_scalar, specialize)
 from .tl_category import jones_wenzl
@@ -22,8 +22,8 @@ from .functor import FunctorReport, verify_equivalence
 
 
 # Larger inputs run for many seconds to minutes, so they are refused with
-# one error line.  Cold jw 9 takes 1.5 to 2.2 s generically (0.56 to
-# 0.87 s at r = 19, median 0.62 s), and jones_wenzl(10) 5.2 to 5.9 s
+# one error line.  Cold jw 9 takes 1.5 to 2.2 s generically (0.54 to
+# 0.63 s at r = 19, median 0.57 s), and jones_wenzl(10) 5.2 to 5.9 s
 # in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis: generic
 # and in-process, homdim 6 6 takes 7 to 9 s, homdim 1,1,1,1,1,1
@@ -32,19 +32,23 @@ from .functor import FunctorReport, verify_equivalence
 # at r = 19 (4.7 s before cyclotomic residues were packed ints).
 # At a root every scalar grows with deg Phi_4r, and r = 19 is the
 # largest degree admitted: there the slowest admitted root queries are
-# homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.67 to 1.06 s
-# cold, and the all-ones 5-strand pair, 0.65 to 0.93 s (medians 1.04
-# and 0.70 s).  Cold homdim 7,3 0 and 7,1,1,1 0 take 0.23 to 0.33 s
-# generically (medians 0.25 and 0.24 s), and homdim 7,3 0, 3,7 0,
-# 7,2,1 0 and 6,4 0 0.28 to 0.49 s at r = 19 (medians 0.35, 0.32, 0.41
-# and 0.45 s; 2-CPU x86-64 machine, BENCH_packed_residues.json).
+# homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.58 to 0.77 s
+# cold, and the all-ones 5-strand pair, 0.53 to 0.58 s (medians 0.63
+# and 0.55 s); homdim 7,3 0, 3,7 0, 7,2,1 0 and 6,4 0 take 0.27 to
+# 0.49 s there (medians 0.30, 0.30, 0.28 and 0.27 s; 2-CPU x86-64
+# machine, 10 cold runs each, BENCH_root_pairing.json).  Cold homdim
+# 7,3 0 and 7,1,1,1 0 take 0.23 to 0.33 s generically (medians 0.25 and
+# 0.24 s, BENCH_packed_residues.json).
 # A bracket word costs its layers times the terms of its widest layer, up
 # to Catalan(width / 2) diagrams: a 22-strand word of 132 crossings took
 # 134 s cold, 20 strands and 60 crossings 3.3 s.  At the limits below,
 # the slowest word measured, 16 strands (8 cups, 64 crossings, 8 caps),
 # takes 1.0 to 1.9 s cold, generic or at r = 19 or 20; every word of the
 # test corpus and the benchmark is at most 6 strands wide and 10
-# crossings long.
+# crossings long.  A word past either limit is refused at its first
+# layer there, unread beyond it: a 5 MB word of 1000002 layers takes
+# 0.08 s cold to be refused (1.0 to 1.2 s when the whole file was
+# parsed before the limits were checked).
 MAX_JW = 9          # largest projector of the jw command
 MAX_COLOR = 7       # largest color of a homdim, gram or verify pair
 MAX_STRANDS = 10    # largest |s| + |t| of such a pair
@@ -119,20 +123,10 @@ def _emit(text: str, out_path):
 
 
 def _cmd_bracket(args, mode: Mode) -> int:
+    # read lazily: a word past a limit is refused at its first layer there
     with open(args.word_file) as fh:
-        text = fh.read()
-    if not text.strip():
-        value = mode.one()
-    else:
-        word = parse_word(text)
-        width = max(max(L[-1] for L in word.layers), word.outputs)
-        if width > MAX_WORD_WIDTH:
-            raise UsageError(f"word is {width} strands wide, above the "
-                             f"limit of {MAX_WORD_WIDTH}")
-        if len(word.layers) > MAX_WORD_LAYERS:
-            raise UsageError(f"word has {len(word.layers)} layers, above "
-                             f"the limit of {MAX_WORD_LAYERS}")
-        value = bracket(word, mode)
+        layers = parse_layers(fh, MAX_WORD_WIDTH, MAX_WORD_LAYERS)
+    value = bracket(GeneratorWord(layers), mode) if layers else mode.one()
     body = format_scalar(value)
     if args.format == "json":
         payload = {"bracket": body, "mode": str(mode)}

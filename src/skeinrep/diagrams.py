@@ -481,12 +481,17 @@ def _parse_layer(line: str) -> tuple:
         raise WordError(f"bad layer line {line!r}") from None
 
 
-def parse_word(text: str) -> GeneratorWord:
-    """Read the text form in one pass; an error names the first physical
-    line at which the word goes wrong (layers split by ';' share a line)."""
+def parse_layers(chunks, max_width=None, max_layers=None) -> list:
+    """The layers of the text form, read one physical line at a time from
+    chunks that end at line breaks, such as an open file's lines; an error
+    names the first line at which the word goes wrong (layers split by ';'
+    share a line).  A word wider than max_width strands at a layer, or
+    longer than max_layers layers, is refused at its first layer past the
+    limit, and nothing after it is read."""
     layers = []
     arity = None
-    for number, raw in enumerate(text.splitlines(), 1):
+    lines = (line for chunk in chunks for line in chunk.splitlines())
+    for number, raw in enumerate(lines, 1):
         for part in raw.split(";"):
             line = part.strip()
             if not line:
@@ -494,10 +499,22 @@ def parse_word(text: str) -> GeneratorWord:
             try:
                 layer = _parse_layer(line)
                 arity = _layer_arity(layer, arity)
+                width = max(layer[-1], arity)
+                if max_width is not None and width > max_width:
+                    raise WordError(f"word reaches {width} strands, above "
+                                    f"the limit of {max_width}")
+                if max_layers is not None and len(layers) == max_layers:
+                    raise WordError(f"word reaches {max_layers + 1} layers, "
+                                    f"above the limit of {max_layers}")
             except WordError as exc:
                 raise WordError(f"line {number}: {exc}") from None
             layers.append(layer)
-    return GeneratorWord(layers)
+    return layers
+
+
+def parse_word(text: str) -> GeneratorWord:
+    """Read the text form in one pass (parse_layers)."""
+    return GeneratorWord(parse_layers((text,)))
 
 
 def format_word(word: GeneratorWord) -> str:

@@ -161,47 +161,6 @@ def F_object(s, mode: Mode = GENERIC) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the induced matrix on hom spaces
-
-def F_hom_matrix(s, t, mode: Mode = GENERIC) -> list:
-    """Matrix of the functor from the diagram-side hom basis to the
-    projector-compressed intertwiner basis.
-
-    Columns follow hom_basis(s, t), the hatted good_type_diagrams(s, t);
-    rows follow the first intertwiners h whose compressions f_t h f_s are
-    independent, in canonical order.  Each compression is taken as
-    f_t h C_s, with C_s the image columns of f_s (those of F_object);
-    X -> X C_s is injective on maps with X = X f_s, so the kept rows and
-    the coordinates are those of f_t h f_s.  Both projectors enter as
-    lambda f, which scales every compression alike, and both act color by
-    color (_apply_colors): f_t on the target of h, then f_s, which is
-    symmetric, on its source, keeping the image columns C_s alone.  One
-    exact RREF of the compressions gives the kept rows, its pivots, and in
-    its row with pivot u the coefficient on compression u of every
-    compression.  The image of the hatted diagram
-    f_t d f_s is F(hat d) = f_t F(d) f_s, the compression of F(d) = sum_w
-    c_w h_w (_image_coordinates, which raises ValueError for an image
-    outside the span), so its coordinate on u is one contraction of that
-    row against the c_w of the good-type diagram d itself.
-    """
-    s = object_seq(s, mode)
-    t = object_seq(t, mode)
-    coords = [_image_coordinates(d, mode) for d in good_type_diagrams(s, t)]
-    image = set(_image_columns(s))
-    compressions = []
-    for h in rep_hom_basis(seq_size(s), seq_size(t), mode):
-        left = _apply_colors(t, h.entries, mode)
-        # keyed (source, target) from here on, the same for every h
-        right = _apply_colors(s, {(j, i): v for (i, j), v in left.items()},
-                              mode)
-        compressions.append({key: v for key, v in right.items()
-                             if key[0] in image})
-    rref = linalg.rref_rows(linalg.transpose(compressions))
-    return [[_contract([(x, c[j]) for j, x in row.items() if j in c], mode)
-             for c in coords] for row in rref]
-
-
-# ---------------------------------------------------------------------------
 # ribbon structure on tensor powers, built from the elementary morphisms
 
 # each public function calls a cached twin with positional arguments, so
@@ -579,11 +538,12 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     elif mode.is_root:
         # exact: the Gram form is degenerate here by design (the negligible
         # quotient), so its bound seldom closes.  Measured per root_sweep
-        # unit (seed 3) on a 2-CPU x86-64 machine with packed cyclotomic
-        # residues: the bound would close on 168 of 344 Gram matrices and
-        # 0.010 s of Gram-rank time, against 0.031 to 0.034 s for the exact
-        # ranks of M_t and M_s it needs and 0.03 s to map the whole Gram
-        # matrices mod p.
+        # unit (seed 3, caches warm but the coordinate ranks) on a 2-CPU
+        # x86-64 machine, CPU time, with root products by one skipped: the
+        # bound would close on 168 of 344 Gram matrices and 0.007 to
+        # 0.008 s of Gram-rank time, against 0.029 to 0.033 s for the
+        # exact ranks of M_t and M_s it needs and 0.044 to 0.051 s to map
+        # the whole Gram matrices mod p.
         pivots = linalg.column_rank_profile(gram_rows())
         columns = _mod_images(phi, [[row[v] for v in pivots]
                                     for row in gram])

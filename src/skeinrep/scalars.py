@@ -685,7 +685,8 @@ def _contract(pairs, mode):
     content gcd only over den != 1.  Generic mode cancels the polynomial
     gcd (none over den 1).  A generic product by a unit +-a^e is the other
     factor's numerator shifted and signed, canonical as it stands: no gcd,
-    no convolution.
+    no convolution.  A root product by one, a residue 1 over den 1, is the
+    other factor itself: no product, no reduction.
     """
     if not mode.is_root:
         folded: list = []
@@ -721,6 +722,12 @@ def _contract(pairs, mode):
         if den == _ONE:
             return ScalarGeneric(num, dict(_ONE), _canonical=True)
         return ScalarGeneric(num, den)
+    if len(pairs) == 1:
+        x, y = pairs[0]
+        if x.packed == 1 and x.den == 1:
+            return y
+        if y.packed == 1 and y.den == 1:
+            return x
     f = mode._field
     acc, den, bound, widest = _accumulate(pairs, f.n, 64)
     w = 64

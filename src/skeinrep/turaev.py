@@ -12,11 +12,12 @@ Good-type diagrams (no arc with both endpoints inside a single block of
 the source or of the target) give a canonical basis of the hom spaces; the
 Gram matrix of quantum traces against the opposite basis detects the
 negligible radical, and its rank is the hom dimension in the purified
-quotient.  Its entries are ``closure_trace``, the closed form (-1)^n times
-the plain closure, with the hat on one factor absorbed by cyclicity; the
-Gram matrix straight from the definition, both factors hatted and each
-trace the braided composite, is the test oracle ``literal_gram_matrix`` in
-``tests/oracles.py``.
+quotient.  Its entries are quantum traces, (-1)^n times the plain closure,
+with the hat on one factor absorbed by cyclicity, each closed in one
+contraction (``gram_matrix``).  Composing first and closing the composite
+is the test oracle ``composed_gram_matrix``, and the Gram matrix straight
+from the definition, both factors hatted and each trace the braided
+composite, is ``literal_gram_matrix``, both in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from __future__ import annotations
 from functools import cache
 
 from . import linalg
-from .diagrams import SimpleDiagram, TLMorphism, compose, enumerate_simple
-from .scalars import GENERIC, Mode
+from .diagrams import (SimpleDiagram, TLMorphism, _delta_power, compose,
+                       enumerate_simple, stack_simple)
+from .scalars import GENERIC, Mode, _contract
 from .tl_category import (
+    _closure_circles,
     braiding_tl,
-    closure_trace,
     coev_tl,
     ev_tl,
     jw_tensor,
@@ -193,20 +195,30 @@ def gram_matrix(s, s_prime, mode: Mode = GENERIC) -> list:
 
     Entry [i][j] is the closure trace of basis_i(s -> s') composed with
     basis_j(s' -> s).  The hat on the first factor is absorbed by
-    cyclicity, so each entry needs only one plain diagram against one
-    hatted one.
+    cyclicity, so each entry pairs a plain diagram d with a hatted map:
+    (-1)^|s'| times one contraction of its coefficients c_D against
+    delta^(loops + circles), the loops of stacking d on D and the circles
+    of closing the result.  The composite is never formed.
     """
     return _gram_matrix(object_seq(s, mode), object_seq(s_prime, mode), mode)
 
 
 @cache
 def _gram_matrix(s: tuple, s_prime: tuple, mode: Mode) -> list:
-    rows_d = _good_type_diagrams(s, s_prime)
-    cols_h = _hom_basis(s_prime, s, mode)
+    cols_h = [h.value.terms.items() for h in _hom_basis(s_prime, s, mode)]
+    odd = seq_size(s_prime) % 2
     out = []
-    for d in rows_d:
-        dm = TLMorphism.from_diagram(d, mode)
-        out.append([closure_trace(compose(dm, h.value)) for h in cols_h])
+    for d in _good_type_diagrams(s, s_prime):
+        row = []
+        for terms in cols_h:
+            pairs = []
+            for dh, c in terms:
+                e, loops = stack_simple(d, dh)
+                pairs.append(
+                    (c, _delta_power(loops + _closure_circles(e), mode)))
+            x = _contract(pairs, mode)
+            row.append(-x if odd else x)
+        out.append(row)
     return out
 
 

@@ -20,7 +20,11 @@ images with intertwiners by tracing each composed image, not by its
 coordinates, Gram entries by tracing K pi_t h_u against pi_s h_v, not
 by splitting K into two square roots, the Gram matrix by tracing each
 projected intertwiner pair, not through projector coordinates and base
-Gram matrices, and an object's cleared projector by the full tensor
+Gram matrices, the diagram-side Gram matrix by composing each diagram
+with each hatted map and closing the composite, not in one contraction
+per entry, the functor's matrix on hom spaces (F_hom_matrix, which only
+tests use) by one RREF of the compressed intertwiners, and an object's
+cleared projector by the full tensor
 product of its colors', each scaled by full scalar multiplication, not
 color by color from rank-one factors, and
 intertwiner bases by solving the X and Y equations of each (k, l) on
@@ -37,16 +41,17 @@ from skeinrep.diagrams import (SimpleDiagram, TLMorphism, _layer_morphism,
                                compose, e_generator, identity_morphism,
                                stack_simple, tensor)
 from skeinrep.functor import (F_diagram, F_object, _apply_colors,
+                              _image_columns, _image_coordinates,
                               _simple_rep, rep_braiding, rep_coev, rep_ev,
                               rep_twist)
 from skeinrep.linalg import (Eliminator, column_rank_profile, kernel_basis,
-                             rref_rows, vec_scale, vec_sub_scaled)
+                             rref_rows, transpose, vec_scale, vec_sub_scaled)
 from skeinrep.scalars import (_ONE, GENERIC, ScalarCyclotomic, ScalarGeneric,
                               _contract, _from_list, _list_divexact,
                               _list_primitive, _lmul, _lscale, _to_list,
                               cyclotomic_poly, times_a_power)
-from skeinrep.tl_category import (_closure_circles, braiding_tl, coev_tl,
-                                  ev_tl, twist_tl)
+from skeinrep.tl_category import (_closure_circles, braiding_tl,
+                                  closure_trace, coev_tl, ev_tl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
                              seq_size)
 from skeinrep.uqsl2 import (RepMap, TensorVector, act, elementary_morphisms,
@@ -744,6 +749,44 @@ def direct_rep_hom_basis(k: int, l: int, mode=GENERIC) -> list:
             for vec in kernel_basis(rows, len(pairs), mode.one())]
 
 
+def F_hom_matrix(s, t, mode=GENERIC):
+    """Matrix of the functor from the diagram-side hom basis to the
+    projector-compressed intertwiner basis.
+
+    Columns follow hom_basis(s, t), the hatted good_type_diagrams(s, t);
+    rows follow the first intertwiners h whose compressions f_t h f_s are
+    independent, in canonical order.  Each compression is taken as
+    f_t h C_s, with C_s the image columns of f_s (those of F_object);
+    X -> X C_s is injective on maps with X = X f_s, so the kept rows and
+    the coordinates are those of f_t h f_s.  Both projectors enter as
+    lambda f, which scales every compression alike, and both act color by
+    color (_apply_colors): f_t on the target of h, then f_s, which is
+    symmetric, on its source, keeping the image columns C_s alone.  One
+    exact RREF of the compressions gives the kept rows, its pivots, and in
+    its row with pivot u the coefficient on compression u of every
+    compression.  The image of the hatted diagram
+    f_t d f_s is F(hat d) = f_t F(d) f_s, the compression of F(d) = sum_w
+    c_w h_w (_image_coordinates, which raises ValueError for an image
+    outside the span), so its coordinate on u is one contraction of that
+    row against the c_w of the good-type diagram d itself.
+    """
+    s = object_seq(s, mode)
+    t = object_seq(t, mode)
+    coords = [_image_coordinates(d, mode) for d in good_type_diagrams(s, t)]
+    image = set(_image_columns(s))
+    compressions = []
+    for h in rep_hom_basis(seq_size(s), seq_size(t), mode):
+        left = _apply_colors(t, h.entries, mode)
+        # keyed (source, target) from here on, the same for every h
+        right = _apply_colors(s, {(j, i): v for (i, j), v in left.items()},
+                              mode)
+        compressions.append({key: v for key, v in right.items()
+                             if key[0] in image})
+    rref = rref_rows(transpose(compressions))
+    return [[_contract([(x, c[j]) for j, x in row.items() if j in c], mode)
+             for c in coords] for row in rref]
+
+
 def full_projector_hom_matrix(s, t, mode=GENERIC):
     """F_hom_matrix with every compression taken as f_t h f_s on the full
     projectors, rows kept in canonical order."""
@@ -879,6 +922,19 @@ def categorical_trace_rep(f):
     comp = rep_ev(n, mode).compose(rep_braiding(n, n, mode)) \
         .compose(g).compose(rep_coev(n, mode))
     return comp.entries.get((0, 0), mode.zero())
+
+
+def composed_gram_matrix(s, s_prime, mode=GENERIC):
+    """Gram matrix by composing each good-type diagram d with each hatted
+    basis map h in full, one reduction per output diagram, then closing the
+    composite: closure_trace(compose(d, h)), the route that one contraction
+    per entry replaces."""
+    s = object_seq(s, mode)
+    s_prime = object_seq(s_prime, mode)
+    cols_h = hom_basis(s_prime, s, mode)
+    return [[closure_trace(compose(TLMorphism.from_diagram(d, mode), h.value))
+             for h in cols_h]
+            for d in good_type_diagrams(s, s_prime)]
 
 
 def literal_gram_matrix(s, s_prime, mode=GENERIC):

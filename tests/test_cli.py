@@ -317,18 +317,19 @@ def test_bracket_words_at_and_past_the_limits(tmp_path):
         code, out, err = run_cli("bracket", word)
         assert (code, err) == (0, "")
         assert out == format_scalar(bracket(parse_word(text))) + "\n"
-    past = [(_wide_word(MAX_WORD_WIDTH + 2, 1),
-             f"word is {MAX_WORD_WIDTH + 2} strands wide, above the limit "
-             f"of {MAX_WORD_WIDTH}"),
+    # each refusal names the first line past a limit: the ninth cup widens
+    # the word to 18 strands, the 81st layer passes the layer limit
+    wide = f"line 9: word reaches 18 strands, above the limit of " \
+           f"{MAX_WORD_WIDTH}"
+    past = [(_wide_word(MAX_WORD_WIDTH + 2, 1), wide),
             (at_limit[1] + "cup 1 of 0\ncap 1 of 2\n",
-             f"word has {MAX_WORD_LAYERS + 2} layers, above the limit of "
+             f"line {MAX_WORD_LAYERS + 1}: word reaches "
+             f"{MAX_WORD_LAYERS + 1} layers, above the limit of "
              f"{MAX_WORD_LAYERS}"),
             # an open word is refused by its top width like any other
-            ("".join(f"cup 1 of {2 * i}\n" for i in range(9)),
-             f"word is 18 strands wide, above the limit of {MAX_WORD_WIDTH}"),
+            ("".join(f"cup 1 of {2 * i}\n" for i in range(9)), wide),
             # 132 crossings on 22 strands ran for 134 s cold
-            (_wide_word(22, 132), "word is 22 strands wide, above the limit "
-                                  f"of {MAX_WORD_WIDTH}")]
+            (_wide_word(22, 132), wide)]
     for mode in ("generic", "root:19"):
         for text, reason in past:
             word.write_text(text)
@@ -351,6 +352,21 @@ def test_bracket_words_at_and_past_the_limits(tmp_path):
     for text in words[::100]:
         word.write_text(text)
         assert run_cli("bracket", word)[0] == 0
+
+
+def test_long_bracket_word_refused_at_the_first_layer_past_the_limit(
+        tmp_path):
+    # 1000002 layers, 5 MB: refused without reading past layer 81, where
+    # parsing the whole word first took over a second cold
+    word = tmp_path / "long.word"
+    word.write_text("cup 1 of 0\n" + "id 2\n" * 1000000 + "cap 1 of 2\n")
+    start = time.perf_counter()
+    code, out, err = run_cli("bracket", word)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (
+        1, "", f"error: line {MAX_WORD_LAYERS + 1}: word reaches "
+               f"{MAX_WORD_LAYERS + 1} layers, above the limit of "
+               f"{MAX_WORD_LAYERS}\n")
 
 
 @pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
@@ -389,9 +405,11 @@ def test_word_errors_name_the_line(tmp_path):
     assert err.startswith("error: line 2:")
     # a blank first line, and a long word that goes wrong on its last line
     bad_cap = "cap position out of range in ('cap', 5, 2)"
+    # (within the layer limit: the blank lines hold no layer)
     for text, line in (("\ncup 1 of 0\ncap 5 of 2\n", 3),
-                       ("cup 1 of 0\n" + "id 2\n" * 8000 + "cap 5 of 2\n",
-                        8002)):
+                       ("cup 1 of 0\n" + "id 2\n" * (MAX_WORD_LAYERS - 2)
+                        + "\n" * (8000 - MAX_WORD_LAYERS + 2)
+                        + "cap 5 of 2\n", 8002)):
         path = tmp_path / "bad.word"
         path.write_text(text)
         assert run_cli("bracket", path) == (

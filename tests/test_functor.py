@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from oracles import (categorical_trace_rep, full_projector_hom_matrix,
+from oracles import (F_hom_matrix, categorical_trace_rep,
+                     full_projector_hom_matrix,
                      half_weighted_projections, hom_dimension,
                      layered_simple_rep, orbit_hw_projector,
                      pairwise_compose, pairwise_linear_extension,
@@ -17,7 +18,7 @@ from skeinrep import cli, linalg, tl_category, uqsl2
 from skeinrep.cli import main
 from skeinrep.diagrams import (TLMorphism, e_generator, enumerate_simple,
                                identity_morphism)
-from skeinrep.functor import (F_diagram, F_hom_matrix, F_object, FunctorReport,
+from skeinrep.functor import (F_diagram, F_object, FunctorReport,
                               _apply_colors, _gram_matrix,
                               _image_columns, _object_projector,
                               _pairing_rows, _projector_coordinates,

@@ -656,6 +656,26 @@ def test_each_branch_of_the_root_kernel(r, case):
         assert (got.width > 64) == (branch != (64, 0))
 
 
+@pytest.mark.parametrize("r", [3, 5, 19, 20])
+def test_root_product_by_one_is_the_other_factor(r):
+    # a single pair with a factor 1 / 1 returns the other factor itself, at
+    # either width, over den 1 or more, and for zero; the value is the
+    # coefficient-list oracle's
+    mode = RootMode(r)
+    one = mode.one()
+    xs = [mode.zero()]
+    for bits in (20, 100):
+        x = ScalarCyclotomic(mode, [(1 << bits) - 7, 0, -3, 1 << bits // 2])
+        xs += [x, x / 15]
+    assert {x.width for x in xs} == {64, 128}
+    assert {x.den > 1 for x in xs} == {False, True}
+    for x in xs:
+        for pairs in (((one, x),), ((x, one),)):
+            got = _contract(pairs, mode)
+            assert got is x
+            assert (got.coeffs, got.den) == list_contract(pairs, r)
+
+
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(5), RootMode(19)],
                          ids=str)
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import (braided_closure_trace, categorical_trace_rep,
-                     hom_dimension, literal_gram_matrix,
+                     composed_gram_matrix, hom_dimension, literal_gram_matrix,
                      pairwise_diagram_compose, pairwise_markov_closure)
 from skeinrep.diagrams import (TLMorphism, compose, identity_morphism,
                                tensor)
@@ -192,6 +192,29 @@ def test_gram_absorption_equals_literal():
     mode = RootMode(5)
     for s, t in [((1, 1), (1, 1)), ((2, 1), (2, 1)), ((3,), (1, 2))]:
         assert gram_matrix(s, t, mode) == literal_gram_matrix(s, t, mode)
+
+
+@pytest.mark.parametrize("mode", [GENERIC] + [RootMode(r) for r in
+                                              (3, 4, 5, 19, 20)], ids=str)
+def test_gram_matches_composed_and_literal_routes(mode):
+    # one contraction per entry against the composite closed afterwards, on
+    # every pair of at most 6 strands, and against both factors hatted and
+    # the braided trace on those of at most 4
+    maxcolor = min(3, mode.r - 2) if mode.is_root else 3
+    objs = _objects(maxcolor, 6)
+    pairs = literal = 0
+    for s in objs:
+        for t in objs:
+            if seq_size(s) + seq_size(t) > 6:
+                continue
+            g = gram_matrix(s, t, mode)
+            assert g == composed_gram_matrix(s, t, mode), (s, t)
+            pairs += 1
+            if seq_size(s) + seq_size(t) <= 4:
+                assert g == literal_gram_matrix(s, t, mode), (s, t)
+                literal += 1
+    assert (pairs, literal) == {1: (28, 15), 2: (147, 38),
+                                3: (220, 46)}[maxcolor]
 
 
 def test_purified_dims_match_truncated_fusion():

@@ -26,10 +26,11 @@ from .functor import FunctorReport, verify_equivalence
 # 0.63 s at r = 19, median 0.57 s), and jones_wenzl(10) 5.2 to 5.9 s
 # in-process.
 # At |s| + |t| = 12 every pair has a 132-map intertwiner basis: generic
-# and in-process, homdim 6 6 takes 7 to 9 s, homdim 1,1,1,1,1,1
-# 1,1,1,1,1,1 8 to 10 s (its 132 x 132 Gram rank, proven mod p, 0.2 s of
-# it) and homdim 7,5 0 4.2 s; the intertwiner solve alone takes 1.9 s
-# at r = 19 (4.7 s before cyclotomic residues were packed ints).
+# and in-process, each in a fresh interpreter, homdim 6 6 takes 5.0 s,
+# homdim 1,1,1,1,1,1 1,1,1,1,1,1 5.6 to 5.8 s (its 132 x 132 Gram rank,
+# proven from the image mod p, 0.09 s of it) and homdim 7,5 0 2.7 to
+# 2.9 s; the intertwiner solve alone takes 1.9 s at r = 19 (4.7 s before
+# cyclotomic residues were packed ints).
 # At a root every scalar grows with deg Phi_4r, and r = 19 is the
 # largest degree admitted: there the slowest admitted root queries are
 # homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.58 to 0.77 s
@@ -37,8 +38,8 @@ from .functor import FunctorReport, verify_equivalence
 # and 0.55 s); homdim 7,3 0, 3,7 0, 7,2,1 0 and 6,4 0 take 0.27 to
 # 0.49 s there (medians 0.30, 0.30, 0.28 and 0.27 s; 2-CPU x86-64
 # machine, 10 cold runs each, BENCH_root_pairing.json).  Cold homdim
-# 7,3 0 and 7,1,1,1 0 take 0.23 to 0.33 s generically (medians 0.25 and
-# 0.24 s, BENCH_packed_residues.json).
+# 7,3 0 and 7,1,1,1 0 take 0.25 to 0.28 s generically (medians 0.26 and
+# 0.25 s, 7 cold runs each, BENCH_modp_gram.json).
 # A bracket word costs its layers times the terms of its widest layer, up
 # to Catalan(width / 2) diagrams: a 22-strand word of 132 crossings took
 # 134 s cold, 20 strands and 60 crossings 3.3 s.  At the limits below,

@@ -16,6 +16,14 @@ intertwiner basis times the Gram matrix, with no composition or trace of
 its own.  So is each projected intertwiner pi h, so the Gram matrix is
 its coordinates on both sides times one Gram matrix of the plain
 intertwiner bases, traced once for every pair of the same sizes.
+
+The ranks take one of two routes.  Generically the Gram rank is proven
+from the matrix's image mod p, the product of the images of those three
+factors, against dim Hom(V_s, V_t), which bounds it (the proof is in
+verify_equivalence); an image of higher rank proves the bound wrong and
+raises ArithmeticError.  The exact Gram matrix is formed only where that
+certificate or the pairing's cannot close.  At a root of unity the Gram
+matrix is formed and eliminated exactly.
 """
 
 from functools import cache, reduce
@@ -27,8 +35,8 @@ from .diagrams import SimpleDiagram, TLMorphism
 from .turaev import good_type_diagrams, object_seq, purified_hom_dim, \
     seq_size
 from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
-    _symmetrizer_factors, elementary_morphisms, hw_projector, mask_weight, \
-    rep_hom_basis, rep_hom_coordinates
+    _symmetrizer_factors, elementary_morphisms, generic_hom_dim, \
+    hw_projector, mask_weight, rep_hom_basis, rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +364,28 @@ def _projector_coordinates(s: tuple, l: int, mode: Mode) -> list:
 
 @cache
 def _base_gram(k: int, l: int, mode: Mode) -> dict:
-    # the entries of G(k, l) traced so far, keyed (a, b) (_gram_matrix)
+    # the entries of G(k, l) traced so far, keyed (a, b) (_trace_base)
     return {}
+
+
+def _trace_base(k: int, l: int, supports, need, mode: Mode) -> dict:
+    """G(k, l) with its entries at (a, b) traced for every a in supports and
+    b in need: each entry once per process, filed under both G(k, l) and
+    G(l, k) = G(k, l)^T.  K commutes with intertwiners, so G(k, k) is
+    symmetric and the trace of (a, b) also gives (b, a)."""
+    g = _base_gram(k, l, mode)
+    gt = _base_gram(l, k, mode)     # g itself when k = l
+    h_k = rep_hom_basis(k, l, mode)
+    h_l = rep_hom_basis(l, k, mode)
+    for a in supports:
+        todo = [b for b in need if (a, b) not in g]
+        if not todo:
+            continue
+        ka = RepMap(k, l, {(i, j): times_a_power(v, 2 * mask_weight(i, l))
+                           for (i, j), v in h_k[a].entries.items()}, mode)
+        for b in todo:
+            g[a, b] = gt[b, a] = _sparse_trace(ka, h_l[b])
+    return g
 
 
 @cache
@@ -383,13 +411,11 @@ def _gram_matrix(s: tuple, t: tuple, mode: Mode) -> list:
     l = |t|, with G(k, l)[a][b] = tr(K h_a h'_b) over those plain bases.
 
     Each entry of G is traced once per process, at the coordinate
-    supports only, and filed under both G(k, l) and G(l, k) = G(k, l)^T;
-    K commutes with intertwiners, so G(k, k) is symmetric and the trace
-    of (a, b) also gives (b, a).  The rows of M_t G are kept per (t, k) at
-    the columns some M_s has needed, so a pair adds only the columns new
-    to it, and then costs one contraction per Gram entry.  A zero row of
-    M_t gives a zero Gram row, and a row {b: 1} (every row of an object of
-    color 1 only) reads G or M_t G as it is."""
+    supports only (_trace_base).  The rows of M_t G are kept per (t, k)
+    at the columns some M_s has needed, so a pair adds only the columns
+    new to it, and then costs one contraction per Gram entry.  A zero row
+    of M_t gives a zero Gram row, and a row {b: 1} (every row of an object
+    of color 1 only) reads G or M_t G as it is."""
     k, l = seq_size(s), seq_size(t)
     left = _projector_coordinates(t, k, mode)
     if not left:        # odd k + l: no intertwiners either way
@@ -398,18 +424,7 @@ def _gram_matrix(s: tuple, t: tuple, mode: Mode) -> list:
     rows, done = _coordinate_gram(t, k, mode)
     need = set().union(*right) - done
     if need:
-        g = _base_gram(k, l, mode)
-        gt = _base_gram(l, k, mode)     # g itself when k = l
-        h_k = rep_hom_basis(k, l, mode)
-        h_l = rep_hom_basis(l, k, mode)
-        for a in set().union(*left):
-            todo = [b for b in need if (a, b) not in g]
-            if not todo:
-                continue
-            ka = RepMap(k, l, {(i, j): times_a_power(v, 2 * mask_weight(i, l))
-                               for (i, j), v in h_k[a].entries.items()}, mode)
-            for b in todo:
-                g[a, b] = gt[b, a] = _sparse_trace(ka, h_l[b])
+        g = _trace_base(k, l, set().union(*left), need, mode)
         for u, row in enumerate(left):
             if not row:
                 continue
@@ -434,6 +449,12 @@ def _gram_matrix(s: tuple, t: tuple, mode: Mode) -> list:
     return gram
 
 
+def _nonzero_rows(matrix):
+    # the rows of a dense matrix as sparse rows
+    return ({v: x for v, x in enumerate(row) if not x.is_zero()}
+            for row in matrix)
+
+
 def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:
     """The pairing tr(K pi_t F(d) pi_s h_v) of each diagram d with the
     columns v of the Gram matrix gram[u][v] = tr(K pi_t h_u pi_s h_v), as
@@ -455,14 +476,61 @@ def _pairing_rows(diagrams, gram: list, columns, mode: Mode) -> list:
 # the rank certificate: images mod p (scalars.mod_map) and upper bounds
 
 @cache
-def _coordinate_rank(s: tuple, l: int, mode: Mode) -> int:
-    """rank M_s for M_s = _projector_coordinates(s, l), exactly: a Gram
-    matrix M_t G M_s^T has rank at most min(rank M_t, rank M_s).  M_s is
-    the identity for an object of color 1 only."""
-    rows = _projector_coordinates(s, l, mode)
-    if all(k == 1 for k in s):
-        return len(rows)
-    return linalg.rank(rows)
+def _coordinate_images(s: tuple, l: int, mode: Mode, phi) -> list:
+    # phi of each row of M_s = _projector_coordinates(s, l), keyed alike
+    return [{b: phi(c) for b, c in row.items()}
+            for row in _projector_coordinates(s, l, mode)]
+
+
+@cache
+def _base_gram_images(k: int, l: int, mode: Mode, phi) -> dict:
+    # phi of the entries of G(k, l) mapped so far, keyed (a, b)
+    return {}
+
+
+@cache
+def _image_gram(t: tuple, k: int, mode: Mode, phi) -> tuple:
+    # (rows, done) as _coordinate_gram, for phi(M_t) phi(G(k, |t|)) mod p
+    return [{} if row else None for row in
+            _projector_coordinates(t, k, mode)], set()
+
+
+def _gram_images(s: tuple, t: tuple, mode: Mode, phi):
+    """phi(gram) as dense rows of ints mod p, for gram = M_t G M_s^T as in
+    _gram_matrix, never formed: phi is a ring map, so the image of the
+    product is the product of the images.  phi of each coordinate row is
+    kept per (object, size), phi of each entry of G next to G, and the
+    rows of phi(M_t) phi(G) per (t, k) at the columns needed so far, so a
+    pair costs one product mod p.  The entries of G are still traced
+    exactly, once per process (_trace_base).  None where phi is undefined
+    on some factor."""
+    k, l = seq_size(s), seq_size(t)
+    p = MOD_PRIME
+    try:
+        left = _coordinate_images(t, k, mode, phi)
+        right = _coordinate_images(s, l, mode, phi)
+        rows, done = _image_gram(t, k, mode, phi)
+        need = set().union(*right) - done
+        if need:
+            supports = set().union(*left)
+            g = _trace_base(k, l, supports, need, mode)
+            gi = _base_gram_images(k, l, mode, phi)
+            gti = _base_gram_images(l, k, mode, phi)
+            for a in supports:
+                for b in need:
+                    if (a, b) not in gi:
+                        gi[a, b] = gti[b, a] = phi(g[a, b])
+            for u, row in enumerate(left):
+                if row:
+                    rows[u].update(
+                        (b, sum(c * gi[a, b] for a, c in row.items()) % p)
+                        for b in need)
+            done |= need
+    except PoleError:
+        return None
+    return [[0] * len(right) if tu is None else
+            [sum(tu[b] * c for b, c in r.items()) % p for r in right]
+            for tu in rows]
 
 
 def _mod_images(phi, matrix):
@@ -512,56 +580,80 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
     pi_s h_v = sum_b M_s[v][b] h'_b over the same bases, so by linearity
     gram = M_t G M_s^T with G[a][b] = tr(K h_a h'_b): the coordinate rows
     are cached per object and size (_projector_coordinates), and G is
-    shared by every pair of the same sizes (_gram_matrix).  The
-    pairing of an image F(d) = sum_u c_u h_u is sum_u c_u gram[u][v]
+    shared by every pair of the same sizes (_trace_base).  The pairing of
+    an image F(d) = sum_u c_u h_u is sum_u c_u gram[u][v]
     (_pairing_rows).  Every Gram column is a combination of the columns of
     any column basis of gram, so the pairing's rank is read on such a
     basis alone.  A functor image outside the intertwiner span raises
-    ValueError.
+    ValueError.  An odd |s| + |t| has no intertwiners either way and
+    returns at once.
 
     Both ranks are exact.  Each is proven by linalg.certified_profile when
-    the matrix's image mod p reaches an upper bound on its rank: for the
-    Gram matrix min(rank M_t, rank M_s), for the pairing its shape.  Where
-    the bound does not close, the matrix is eliminated exactly.
+    the matrix's image mod p reaches an upper bound on its rank; where the
+    bound does not close, the matrix is eliminated exactly.  The pairing's
+    bound is its shape, and its image is phi(C) times the Gram image at
+    the basis columns (_pairing_images).
+
+    Generically the Gram image is phi(M_t) phi(G) phi(M_s)^T
+    (_gram_images), and the bound is dim Hom(V_s, V_t) =
+    sum_w m_s(w) m_t(w) (uqsl2.generic_hom_dim).  It is a bound: write
+    pi = lambda f with f idempotent.  f_s and f_t are intertwiners and K
+    commutes with them, so by cyclicity gram[u][v] = lambda_s lambda_t
+    tr(K (f_t h_u f_s)(f_s h_v f_t)).  Row u is thus a linear function of
+    f_t h_u f_s, which lies in f_t Hom_U(V^|s|, V^|t|) f_s, isomorphic to
+    Hom(V_s, V_t).  The exact Gram matrix (_gram_matrix) is formed only
+    where a certificate cannot close: the Gram profile's elimination, or
+    the pairing's exact rows.  No ring map raises rank, so an image with
+    more independent columns than the bound proves the bound wrong: that
+    raises ArithmeticError naming the pair, and no rank is reported.
+
+    At a root the Gram matrix is formed and eliminated exactly, and its
+    columns at the pivots mapped mod p for the pairing.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
-    gram = _gram_matrix(s, t, mode)
-    phi = mod_map(mode)
-
-    def gram_rows():
-        return ({v: x for v, x in enumerate(row) if not x.is_zero()}
-                for row in gram)
-
-    if not gram:        # odd |s| + |t|: no intertwiners either way
-        pivots, columns = [], None
-    elif mode.is_root:
-        # exact: the Gram form is degenerate here by design (the negligible
-        # quotient), so its bound seldom closes.  Measured per root_sweep
-        # unit (seed 3, caches warm but the coordinate ranks) on a 2-CPU
-        # x86-64 machine, CPU time, with root products by one skipped: the
-        # bound would close on 168 of 344 Gram matrices and 0.007 to
-        # 0.008 s of Gram-rank time, against 0.029 to 0.033 s for the
-        # exact ranks of M_t and M_s it needs and 0.044 to 0.051 s to map
-        # the whole Gram matrices mod p.
-        pivots = linalg.column_rank_profile(gram_rows())
-        columns = _mod_images(phi, [[row[v] for v in pivots]
-                                    for row in gram])
-    else:
-        images = _mod_images(phi, gram)
-        bound = min(_coordinate_rank(t, seq_size(s), mode),
-                    _coordinate_rank(s, seq_size(t), mode))
-        pivots = linalg.certified_profile(bound, images, gram_rows)
-        columns = None if images is None else \
-            [[row[v] for v in pivots] for row in images]
-    dim_rep = len(pivots)
     diagrams = good_type_diagrams(s, t)
-    coords = [_image_coordinates(d, mode) for d in diagrams]
-    matrix_rank = len(linalg.certified_profile(
-        min(len(diagrams), dim_rep), _pairing_images(phi, coords, columns),
-        lambda: _pairing_rows(diagrams, gram, pivots, mode)))
+    if (seq_size(s) + seq_size(t)) % 2:     # no intertwiners either way
+        pivots, matrix_rank = [], 0
+    else:
+        pivots, matrix_rank = _certified_ranks(s, t, diagrams, mode)
     if mode.is_root:
         dim_diag = purified_hom_dim(s, t, mode)
     else:
         dim_diag = len(diagrams)
-    return FunctorReport(s, t, dim_diag, dim_rep, matrix_rank, mode)
+    return FunctorReport(s, t, dim_diag, len(pivots), matrix_rank, mode)
+
+
+def _certified_ranks(s: tuple, t: tuple, diagrams, mode: Mode) -> tuple:
+    # (a column basis of gram, the pairing's rank), as verify_equivalence
+    phi = mod_map(mode)
+    if mode.is_root:
+        # exact: the Gram form is degenerate here by design (the negligible
+        # quotient), so its bound seldom closes.  Measured per root_sweep
+        # unit (seed 3, caches warm but the coordinate ranks) on a 2-CPU
+        # x86-64 machine, CPU time, with root products by one skipped: the
+        # bound min(rank M_t, rank M_s) would close on 168 of 344 Gram
+        # matrices and 0.007 to 0.008 s of Gram-rank time, against 0.029
+        # to 0.033 s for the exact ranks of M_t and M_s it needs and 0.044
+        # to 0.051 s to map the whole Gram matrices mod p.
+        gram = _gram_matrix(s, t, mode)
+        pivots = linalg.column_rank_profile(_nonzero_rows(gram))
+        columns = _mod_images(phi, [[row[v] for v in pivots]
+                                    for row in gram])
+    else:
+        gram = None
+        images = _gram_images(s, t, mode, phi)
+        try:
+            pivots = linalg.certified_profile(
+                generic_hom_dim(s, t), images,
+                lambda: _nonzero_rows(_gram_matrix(s, t, mode)))
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{s} -> {t}: {exc}") from exc
+        columns = None if images is None else \
+            [[row[v] for v in pivots] for row in images]
+    coords = [_image_coordinates(d, mode) for d in diagrams]
+    matrix_rank = len(linalg.certified_profile(
+        min(len(diagrams), len(pivots)), _pairing_images(phi, coords, columns),
+        lambda: _pairing_rows(diagrams, gram or _gram_matrix(s, t, mode),
+                              pivots, mode)))
+    return pivots, matrix_rank

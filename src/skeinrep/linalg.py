@@ -19,7 +19,8 @@ exact upper bound on a matrix's rank and its image under a ring map into
 F_p (scalars.mod_map), it returns the columns independent mod p when
 there are as many as the bound, which proves the rank; otherwise it
 returns the exact column rank profile.  Either way the count is the exact
-rank.  No modular rank is reported unproven.
+rank.  No modular rank is reported unproven, and an image of rank above
+the bound, which proves the bound wrong, raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -166,12 +167,18 @@ def independent_subset(vectors) -> list:
 def _mod_profile(images, bound: int) -> list:
     """Pivot columns of a matrix over F_p, p = MOD_PRIME, given as dense
     rows of ints, left to right and at most bound of them.  Each row keeps
-    only its columns from the current one on."""
+    only its columns from the current one on, so a nonzero row left once
+    bound pivots are found is one more independent column: ArithmeticError,
+    since bound is meant to be an upper bound on the rank."""
     p = MOD_PRIME
     rows = [r for r in images if any(r)]
     pivots = []
     for col in range(len(rows[0]) if rows else 0):
         if len(pivots) == bound:
+            if any(map(any, rows)):
+                raise ArithmeticError(f"more than {bound} columns are "
+                                      "independent mod p, above the rank "
+                                      "bound")
             break
         i = next((i for i, r in enumerate(rows) if r[0]), None)
         if i is None:
@@ -205,11 +212,12 @@ def certified_profile(bound: int, images, rows) -> list:
     rank(M): a basis, proven.  Otherwise M is eliminated exactly, and the
     basis is column_rank_profile(rows()), so every count returned is the
     exact rank.  Apart from its count, a certified basis need not be the
-    lexicographically first one."""
-    if bound == 0:
-        return []
+    lexicographically first one.  An image of rank above bound proves the
+    bound wrong and raises ArithmeticError; no count is returned then."""
     if images is not None:
         pivots = _mod_profile(images, bound)
         if len(pivots) == bound:
             return pivots
+    elif bound == 0:
+        return []
     return column_rank_profile(rows())

@@ -946,7 +946,8 @@ def mod_map(mode: Mode):
     mod MOD_PRIME that raises PoleError where a denominator maps to zero;
     None for a root order r with no element of order 4r mod MOD_PRIME.
     Generic mode sends a to MOD_POINT by a cached power per exponent, root
-    mode sends a to mod_root(r) by a table of its powers."""
+    mode sends a to mod_root(r) by a table of its powers.  One phi per
+    mode, so caches of images may be keyed by it."""
     p = MOD_PRIME
     if mode.is_root:
         omega = mod_root(mode.r)

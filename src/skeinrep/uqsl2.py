@@ -422,6 +422,27 @@ def cg_dims(n: int, m: int, mode: Mode = GENERIC):
     return mults, has_negligible
 
 
+def generic_hom_dim(s: tuple, t: tuple) -> int:
+    """dim Hom(V_s, V_t) at generic q, for V_s = V_{s_1} (x) ... (x)
+    V_{s_m}: sum_w m_s(w) m_t(w), with m_s(w) the multiplicity of V_w in
+    V_s (Kassel, Quantum Groups, GTM 155, ch. VII)."""
+    ms, mt = _multiplicities(s), _multiplicities(t)
+    return sum(m * mt.get(w, 0) for w, m in ms.items())
+
+
+@cache
+def _multiplicities(s: tuple) -> dict:
+    # weight -> multiplicity in V_s, folded from cg_dims over the colors
+    mults = {0: 1}
+    for k in s:
+        out: dict = {}
+        for w, m in mults.items():
+            for x in cg_dims(w, k)[0]:
+                out[x] = out.get(x, 0) + m
+        mults = out
+    return mults
+
+
 # ---------------------------------------------------------------------------
 # intertwiner spaces and the highest-weight projector
 

@@ -27,7 +27,7 @@ from skeinrep.functor import (F_diagram, F_object, FunctorReport,
                               quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
                               verify_equivalence)
-from skeinrep.scalars import GENERIC, PoleError, RootMode
+from skeinrep.scalars import GENERIC, PoleError, RootMode, mod_map
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
@@ -306,7 +306,9 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     cached = [functor._color_factors, uqsl2._symmetrizer_factors,
               functor._projector_coordinates,
               functor._base_gram, functor._coordinate_gram,
-              uqsl2._rep_hom_basis, uqsl2._free_unknowns]
+              functor._coordinate_images, functor._base_gram_images,
+              functor._image_gram, uqsl2._rep_hom_basis,
+              uqsl2._free_unknowns]
     for f in cached:
         f.cache_clear()
 
@@ -444,17 +446,11 @@ def test_pairing_by_coordinates_matches_trace_oracle(mode):
 
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(3), RootMode(4),
                                   RootMode(5)], ids=str)
-def test_gram_entries_match_the_full_k_weighted_trace(monkeypatch, mode):
-    # every pair with |s|+|t| <= 6: each entry tr(P_u P_v) of the Gram
-    # matrix verify_equivalence ranks equals tr(K pi_t h_u pi_s h_v) with
-    # both factors built in full by the oracles, K never split in halves
-    grams = []
-
-    def spy(s, t, mode):
-        grams.append(_gram_matrix(s, t, mode))
-        return grams[-1]
-
-    monkeypatch.setattr(functor, "_gram_matrix", spy)
+def test_gram_entries_match_the_full_k_weighted_trace(mode):
+    # every pair with |s|+|t| <= 6, caches filled in sweep order: each
+    # entry of the exact Gram matrix (the root route, and the generic
+    # certificate's fallback) equals tr(K pi_t h_u pi_s h_v) with both
+    # factors built in full by the oracles, K never split in halves
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 6)
     entries = 0
@@ -466,8 +462,9 @@ def test_gram_entries_match_the_full_k_weighted_trace(monkeypatch, mode):
             left = [weighted_rows(x, 2) for x in
                     projected_intertwiners(t, seq_size(s), mode)]
             right = projected_intertwiners(s, seq_size(t), mode)
-            assert grams.pop() == [[pairwise_trace(x, y) for y in right]
-                                   for x in left], (s, t)
+            assert _gram_matrix(s, t, mode) \
+                == [[pairwise_trace(x, y) for y in right]
+                    for x in left], (s, t)
             entries += len(left) * len(right)
     assert entries > 150
 
@@ -511,19 +508,11 @@ SIZE_TEN = pytest.mark.parametrize(
 
 
 @SIZE_TEN
-def test_gram_matrix_matches_trace_oracle_at_size_ten(monkeypatch, s, t,
-                                                      mode):
-    grams = []
-
-    def spy(s, t, mode):
-        grams.append(_gram_matrix(s, t, mode))
-        return grams[-1]
-
-    monkeypatch.setattr(functor, "_gram_matrix", spy)
+def test_gram_matrix_matches_trace_oracle_at_size_ten(s, t, mode):
     functor._base_gram.cache_clear()
     functor._coordinate_gram.cache_clear()
     assert verify_equivalence(s, t, mode).verdict == "iso"
-    assert grams.pop() == trace_gram_matrix(s, t, mode)
+    assert _gram_matrix(s, t, mode) == trace_gram_matrix(s, t, mode)
     if not t:
         # pi_s kills every intertwiner, so no entry of G(10, 0) is traced
         assert not functor._base_gram(10, 0, mode)
@@ -559,8 +548,9 @@ def _assert_certified_ranks_are_exact(calls, s, t, mode):
     and every basis it was given is independent and spans, checked
     exactly: it is the exact route's own, or the rank of the matrix on its
     columns is its size, which is the exact rank.  Returns the (Gram,
-    pairing) exact-route flags, the Gram's None at a root or for an empty
-    Gram matrix (odd |s| + |t|), which is not certified."""
+    pairing) exact-route flags, None for a matrix that is not certified:
+    the Gram's at a root, and both for an empty Gram matrix (odd
+    |s| + |t|), which returns before any certificate."""
     calls.clear()
     report = verify_equivalence(s, t, mode)
     gram = _gram_matrix(s, t, mode)
@@ -569,7 +559,10 @@ def _assert_certified_ranks_are_exact(calls, s, t, mode):
         _pairing_rows(good_type_diagrams(s, t), gram, pivots, mode))
     assert (report.dim_rep_side, report.matrix_rank) \
         == (len(pivots), len(pairing)), (s, t)
-    certified_gram = bool(gram) and not mode.is_root
+    if not gram:
+        assert not calls, (s, t)
+        return [None, None]
+    certified_gram = not mode.is_root
     assert len(calls) == 1 + certified_gram, (s, t)
     for (basis, rows, _), exact in zip(calls, [pivots, pairing][-len(calls):]):
         assert len(basis) == len(exact), (s, t)
@@ -582,13 +575,14 @@ def _assert_certified_ranks_are_exact(calls, s, t, mode):
 
 
 @pytest.mark.parametrize("mode, gram_exact", [
-    (GENERIC, 166), (RootMode(3), None), (RootMode(4), None),
+    (GENERIC, 0), (RootMode(3), None), (RootMode(4), None),
     (RootMode(5), None)], ids=str)
 def test_certified_ranks_match_exact_elimination_on_criteria_6_and_7(
         monkeypatch, mode, gram_exact):
     # every pair of criterion 6 (generic) or 7 (root): the certificate
     # closes on all but gram_exact nonempty Gram matrices and on every
-    # pairing; a root's Gram matrix is eliminated exactly
+    # pairing; a root's Gram matrix is eliminated exactly.  Generically
+    # the bound dim Hom(V_s, V_t) is the rank itself, so it closes on all
     calls = _spy_certificate(monkeypatch)
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 8)
@@ -596,7 +590,7 @@ def test_certified_ranks_match_exact_elimination_on_criteria_6_and_7(
              for s in seqs for t in seqs
              if seq_size(s) + seq_size(t) <= 8]
     assert len(flags) == {None: 963, 3: 45, 4: 512, 5: 963}[mode.r]
-    assert sum(pairing for _, pairing in flags) == 0
+    assert sum(pairing or 0 for _, pairing in flags) == 0
     assert (None if mode.is_root else sum(g or 0 for g, _ in flags)) \
         == gram_exact
 
@@ -621,6 +615,61 @@ def test_unmapped_entries_take_the_exact_route(monkeypatch, mode):
     for s, t in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 1, 1), (3,))]:
         gram, pairing = _assert_certified_ranks_are_exact(calls, s, t, mode)
         assert pairing and gram in (None, True), (s, t)
+
+
+def test_image_caches_are_keyed_by_phi(monkeypatch):
+    # warmed with the true phi, the caches of images do not answer for
+    # another: with phi undefined, both ranks come from exact elimination
+    s, t = (2, 1), (1, 2)
+    verify_equivalence(s, t)
+    assert functor._gram_images(s, t, GENERIC, mod_map(GENERIC))
+
+    def undefined(x):
+        raise PoleError("denominator vanishes mod p")
+
+    monkeypatch.setattr(functor, "mod_map", lambda mode: undefined)
+    calls = _spy_certificate(monkeypatch)
+    assert _assert_certified_ranks_are_exact(calls, s, t, GENERIC) \
+        == [True, True]
+
+
+def test_gram_images_are_phi_of_the_traced_gram_matrix():
+    # every criterion 6 pair with |s|+|t| <= 6 and a seeded sample of size
+    # 8: phi(M_t) phi(G) phi(M_s)^T is phi of the Gram matrix traced with
+    # each projector built in full, entry by entry
+    phi = mod_map(GENERIC)
+    seqs = _color_seqs((1, 2, 3), 8)
+    pairs = [(s, t) for s in seqs for t in seqs
+             if seq_size(s) + seq_size(t) <= 6]
+    pairs += random.Random("gram images").sample(
+        [(s, t) for s in seqs for t in seqs
+         if seq_size(s) + seq_size(t) == 8], 6)
+    entries = 0
+    for s, t in pairs:
+        want = [[phi(x) for x in row] for row in trace_gram_matrix(s, t)]
+        assert functor._gram_images(s, t, GENERIC, phi) == want, (s, t)
+        entries += sum(map(len, want))
+    assert entries > 1000
+
+
+def test_a_bound_below_the_rank_raises(monkeypatch):
+    # (1,1,1) -> (1,1,1) has a full-rank 5 x 5 Gram matrix: one below
+    # dim Hom(V_s, V_t), the image mod p shows the bound wrong, and no
+    # report carries the smaller number; the CLI prints one error line
+    s = t = (1, 1, 1)
+    gram = _gram_matrix(s, t, GENERIC)
+    assert linalg.rank(_sparse_rows(gram)) == len(gram) \
+        == uqsl2.generic_hom_dim(s, t) == 5
+    monkeypatch.setattr(functor, "generic_hom_dim", lambda s, t: 4)
+    with pytest.raises(ArithmeticError,
+                       match=r"^\(1, 1, 1\) -> \(1, 1, 1\): more than 4 "):
+        verify_equivalence(s, t)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["homdim", "1,1,1", "1,1,1"])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("error: (1, 1, 1) -> (1, 1, 1): ")
+    assert err.getvalue().count("\n") == 1
 
 
 def _escaped_image(monkeypatch, mode):

@@ -211,6 +211,19 @@ def test_certificate_proves_full_rank_without_elimination(monkeypatch):
     assert not exact
 
 
+def test_bound_below_the_image_rank_raises(monkeypatch):
+    # no ring map raises rank, so an image of rank above the bound proves
+    # the bound wrong: an error, never a count
+    exact = _spy_exact(monkeypatch)
+    m = GENERIC
+    a = m.a_power(1)
+    rows = [{0: m.one(), 1: a}, {0: a, 1: m.one()}]
+    for bound in (0, 1):
+        with pytest.raises(ArithmeticError, match="above the rank bound$"):
+            _certify(rows, 2, bound, m)
+    assert not exact
+
+
 def test_vanishing_denominator_takes_the_exact_route(monkeypatch):
     generic = ScalarGeneric({0: 1}, {0: -MOD_POINT, 1: 1})  # 1/(a - a0)
     root = ScalarCyclotomic(RootMode(5), (1, 1), MOD_PRIME)

@@ -9,8 +9,9 @@ from skeinrep import uqsl2
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, act, act_Y_power,
                             cg_dims, cg_vector, elementary_morphisms,
-                            highest_weight_basis, hw_projector, mask_weight,
-                            rep_hom_basis, rep_hom_coordinates, weight_slice)
+                            generic_hom_dim, highest_weight_basis,
+                            hw_projector, mask_weight, rep_hom_basis,
+                            rep_hom_coordinates, weight_slice)
 
 
 def _basis_vectors(n, mode):
@@ -164,6 +165,17 @@ def test_cg_dims():
     assert mults == {0: 1} and negligible is True
     with pytest.raises(ValueError):
         cg_dims(3, 1, mode)
+
+
+def test_generic_hom_dim_is_the_fusion_count():
+    # every pair of criterion 6 (colors 1-3, |s|+|t| <= 8)
+    seqs = [()]
+    for s in seqs:
+        seqs.extend(s + (c,) for c in (1, 2, 3) if sum(s) + c <= 8)
+    pairs = [(s, t) for s in seqs for t in seqs if sum(s) + sum(t) <= 8]
+    assert len(pairs) == 963
+    for s, t in pairs:
+        assert generic_hom_dim(s, t) == hom_dimension(s, t), (s, t)
 
 
 def test_rep_hom_basis_dims_and_intertwining():

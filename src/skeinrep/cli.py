@@ -33,11 +33,13 @@ from .functor import FunctorReport, verify_equivalence
 # cyclotomic residues were packed ints).
 # At a root every scalar grows with deg Phi_4r, and r = 19 is the
 # largest degree admitted: there the slowest admitted root queries are
-# homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.58 to 0.77 s
-# cold, and the all-ones 5-strand pair, 0.53 to 0.58 s (medians 0.63
-# and 0.55 s); homdim 7,3 0, 3,7 0, 7,2,1 0 and 6,4 0 take 0.27 to
-# 0.49 s there (medians 0.30, 0.30, 0.28 and 0.27 s; 2-CPU x86-64
-# machine, 10 cold runs each, BENCH_root_pairing.json).  Cold homdim
+# homdim 2,2,2,2,2 0, the widest coefficients (26 bits), 0.63 to 0.88 s
+# cold, and the all-ones 5-strand pair, 0.52 to 0.96 s (medians 0.67
+# and 0.58 s, against 0.78 and 0.74 s in the same runs when each root
+# Gram matrix was eliminated exactly); homdim 7,3 0, 3,7 0, 7,2,1 0 and
+# 6,4 0 take 0.34 to 0.63 s there (medians 0.37, 0.43, 0.41 and 0.39 s,
+# within noise of the exact route; a loaded 2-CPU x86-64 machine, 10 cold
+# runs each with no bytecode cache, BENCH_one_rank_route.json).  Cold homdim
 # 7,3 0 and 7,1,1,1 0 take 0.25 to 0.28 s generically (medians 0.26 and
 # 0.25 s, 7 cold runs each, BENCH_modp_gram.json).
 # A bracket word costs its layers times the terms of its widest layer, up

@@ -17,13 +17,14 @@ its own.  So is each projected intertwiner pi h, so the Gram matrix is
 its coordinates on both sides times one Gram matrix of the plain
 intertwiner bases, traced once for every pair of the same sizes.
 
-The ranks take one of two routes.  Generically the Gram rank is proven
-from the matrix's image mod p, the product of the images of those three
-factors, against dim Hom(V_s, V_t), which bounds it (the proof is in
-verify_equivalence); an image of higher rank proves the bound wrong and
+Both ranks take one route in either scalar field.  The Gram rank is
+proven from the matrix's image mod p, the product of the images of those
+three factors, against an upper bound on it: dim Hom(V_s, V_t)
+generically, and at a root of unity its dimension modulo negligible
+morphisms, the truncated fusion count (uqsl2.hom_dim; the proof is in
+verify_equivalence).  An image of higher rank proves the bound wrong and
 raises ArithmeticError.  The exact Gram matrix is formed only where that
-certificate or the pairing's cannot close.  At a root of unity the Gram
-matrix is formed and eliminated exactly.
+certificate or the pairing's cannot close.
 """
 
 from functools import cache, reduce
@@ -35,8 +36,8 @@ from .diagrams import SimpleDiagram, TLMorphism
 from .turaev import good_type_diagrams, object_seq, purified_hom_dim, \
     seq_size
 from .uqsl2 import RepMap, TensorVector, _free_unknowns, \
-    _symmetrizer_factors, elementary_morphisms, generic_hom_dim, \
-    hw_projector, mask_weight, rep_hom_basis, rep_hom_coordinates
+    _symmetrizer_factors, elementary_morphisms, hom_dim, hw_projector, \
+    mask_weight, rep_hom_basis, rep_hom_coordinates
 
 
 # ---------------------------------------------------------------------------
@@ -388,64 +389,25 @@ def _trace_base(k: int, l: int, supports, need, mode: Mode) -> dict:
     return g
 
 
-@cache
-def _coordinate_gram(t: tuple, k: int, mode: Mode) -> tuple:
-    # (rows, done): row u of M_t G(k, |t|) for M_t = _projector_coordinates
-    # (t, k), at the columns b in done, None for a zero row of M_t
-    return [{} if row else None for row in
-            _projector_coordinates(t, k, mode)], set()
-
-
-def _unit(row: dict):
-    # b when the coordinate row is {b: 1}, else None
-    if len(row) == 1:
-        (b, c), = row.items()
-        if c.is_one():
-            return b
-    return None
-
-
 def _gram_matrix(s: tuple, t: tuple, mode: Mode) -> list:
     """gram = M_t G(k, l) M_s^T for the coordinate rows M_t of t over
     rep_hom_basis(k, l) and M_s of s over rep_hom_basis(l, k), k = |s| and
-    l = |t|, with G(k, l)[a][b] = tr(K h_a h'_b) over those plain bases.
-
-    Each entry of G is traced once per process, at the coordinate
-    supports only (_trace_base).  The rows of M_t G are kept per (t, k)
-    at the columns some M_s has needed, so a pair adds only the columns
-    new to it, and then costs one contraction per Gram entry.  A zero row
-    of M_t gives a zero Gram row, and a row {b: 1} (every row of an object
-    of color 1 only) reads G or M_t G as it is."""
+    l = |t|, with G(k, l)[a][b] = tr(K h_a h'_b) over those plain bases:
+    the rows of M_t G at the columns M_s reads, then one contraction per
+    Gram entry.  The entries of G are traced at the coordinate supports
+    only (_trace_base).  Nothing else is kept: the exact matrix is formed
+    only where a rank certificate cannot close."""
     k, l = seq_size(s), seq_size(t)
     left = _projector_coordinates(t, k, mode)
-    if not left:        # odd k + l: no intertwiners either way
-        return []
     right = _projector_coordinates(s, l, mode)
-    rows, done = _coordinate_gram(t, k, mode)
-    need = set().union(*right) - done
-    if need:
-        g = _trace_base(k, l, set().union(*left), need, mode)
-        for u, row in enumerate(left):
-            if not row:
-                continue
-            a = _unit(row)
-            if a is not None:
-                rows[u].update((b, g[a, b]) for b in need)
-            else:
-                rows[u].update((b, _contract([(c, g[w, b])
-                                              for w, c in row.items()], mode))
-                               for b in need)
-        done |= need
-    zero = mode.zero()
-    units = [_unit(r) for r in right]
+    need = set().union(*right)
+    g = _trace_base(k, l, set().union(*left), need, mode)
     gram = []
-    for tu in rows:
-        if tu is None:
-            gram.append([zero] * len(right))
-            continue
-        gram.append([zero if not r else tu[b] if b is not None else
-                     _contract([(tu[w], c) for w, c in r.items()], mode)
-                     for r, b in zip(right, units)])
+    for row in left:
+        tg = {b: _contract([(c, g[a, b]) for a, c in row.items()], mode)
+              for b in need}
+        gram.append([_contract([(tg[b], c) for b, c in r.items()], mode)
+                     for r in right])
     return gram
 
 
@@ -490,7 +452,9 @@ def _base_gram_images(k: int, l: int, mode: Mode, phi) -> dict:
 
 @cache
 def _image_gram(t: tuple, k: int, mode: Mode, phi) -> tuple:
-    # (rows, done) as _coordinate_gram, for phi(M_t) phi(G(k, |t|)) mod p
+    # (rows, done): row u of phi(M_t) phi(G(k, |t|)) mod p, for M_t =
+    # _projector_coordinates(t, k), at the columns b in done, None for a
+    # zero row of M_t
     return [{} if row else None for row in
             _projector_coordinates(t, k, mode)], set()
 
@@ -502,8 +466,10 @@ def _gram_images(s: tuple, t: tuple, mode: Mode, phi):
     kept per (object, size), phi of each entry of G next to G, and the
     rows of phi(M_t) phi(G) per (t, k) at the columns needed so far, so a
     pair costs one product mod p.  The entries of G are still traced
-    exactly, once per process (_trace_base).  None where phi is undefined
-    on some factor."""
+    exactly, once per process (_trace_base).  None where there is no phi
+    (scalars.mod_map) or it is undefined on some factor."""
+    if phi is None:
+        return None
     k, l = seq_size(s), seq_size(t)
     p = MOD_PRIME
     try:
@@ -531,16 +497,6 @@ def _gram_images(s: tuple, t: tuple, mode: Mode, phi):
     return [[0] * len(right) if tu is None else
             [sum(tu[b] * c for b, c in r.items()) % p for r in right]
             for tu in rows]
-
-
-def _mod_images(phi, matrix):
-    # phi of every entry; None when there is no phi or it is undefined on one
-    if phi is None:
-        return None
-    try:
-        return [[phi(x) for x in row] for row in matrix]
-    except PoleError:
-        return None
 
 
 def _pairing_images(phi, coords: list, columns):
@@ -590,25 +546,32 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
 
     Both ranks are exact.  Each is proven by linalg.certified_profile when
     the matrix's image mod p reaches an upper bound on its rank; where the
-    bound does not close, the matrix is eliminated exactly.  The pairing's
-    bound is its shape, and its image is phi(C) times the Gram image at
-    the basis columns (_pairing_images).
+    bound does not close, or where there is no image (scalars.mod_map has
+    none at a root r with 4r not dividing p - 1), the matrix is eliminated
+    exactly.  The pairing's bound is its shape, and its image is phi(C)
+    times the Gram image at the basis columns (_pairing_images).
 
-    Generically the Gram image is phi(M_t) phi(G) phi(M_s)^T
-    (_gram_images), and the bound is dim Hom(V_s, V_t) =
-    sum_w m_s(w) m_t(w) (uqsl2.generic_hom_dim).  It is a bound: write
-    pi = lambda f with f idempotent.  f_s and f_t are intertwiners and K
+    The Gram image is phi(M_t) phi(G) phi(M_s)^T (_gram_images), and the
+    bound is uqsl2.hom_dim(s, t, mode) = sum_w m_s(w) m_t(w), with the
+    multiplicities of the fusion rule in mode.  It is a bound: write pi =
+    lambda f with f idempotent.  f_s and f_t are intertwiners and K
     commutes with them, so by cyclicity gram[u][v] = lambda_s lambda_t
-    tr(K (f_t h_u f_s)(f_s h_v f_t)).  Row u is thus a linear function of
-    f_t h_u f_s, which lies in f_t Hom_U(V^|s|, V^|t|) f_s, isomorphic to
-    Hom(V_s, V_t).  The exact Gram matrix (_gram_matrix) is formed only
-    where a certificate cannot close: the Gram profile's elimination, or
-    the pairing's exact rows.  No ring map raises rank, so an image with
-    more independent columns than the bound proves the bound wrong: that
-    raises ArithmeticError naming the pair, and no rank is reported.
-
-    At a root the Gram matrix is formed and eliminated exactly, and its
-    columns at the pivots mapped mod p for the pairing.
+    tr(K (f_t h_u f_s)(f_s h_v f_t)).  That is the trace form between
+    f_t Hom_U(V^|s|, V^|t|) f_s, isomorphic to Hom(V_s, V_t), and
+    Hom(V_t, V_s), and both families span, so the Gram rank is the rank of
+    the trace form on Hom(V_s, V_t).  Generically that is dim Hom(V_s,
+    V_t).  At a root r the colors are at most r - 2, so each V_k is a
+    tilting module and so is V_s; the kernel of the trace form is the
+    negligible morphisms, and the rank is the multiplicity count of the
+    truncated fusion rule, which drops the negligible summands of each
+    V_w (x) V_k (Andersen, Tensor products of quantized tilting modules,
+    CMP 149, 1992; Turaev, Quantum Invariants of Knots and 3-Manifolds,
+    1994).  The exact Gram matrix (_gram_matrix) is formed only where a
+    certificate cannot close: the Gram profile's elimination, or the
+    pairing's exact rows.  No ring map raises rank, so
+    an image with more independent columns than the bound proves the bound
+    wrong: that raises ArithmeticError naming the pair, and no rank is
+    reported.
     """
     s = object_seq(s, mode)
     t = object_seq(t, mode)
@@ -627,33 +590,18 @@ def verify_equivalence(s, t, mode: Mode = GENERIC) -> FunctorReport:
 def _certified_ranks(s: tuple, t: tuple, diagrams, mode: Mode) -> tuple:
     # (a column basis of gram, the pairing's rank), as verify_equivalence
     phi = mod_map(mode)
-    if mode.is_root:
-        # exact: the Gram form is degenerate here by design (the negligible
-        # quotient), so its bound seldom closes.  Measured per root_sweep
-        # unit (seed 3, caches warm but the coordinate ranks) on a 2-CPU
-        # x86-64 machine, CPU time, with root products by one skipped: the
-        # bound min(rank M_t, rank M_s) would close on 168 of 344 Gram
-        # matrices and 0.007 to 0.008 s of Gram-rank time, against 0.029
-        # to 0.033 s for the exact ranks of M_t and M_s it needs and 0.044
-        # to 0.051 s to map the whole Gram matrices mod p.
-        gram = _gram_matrix(s, t, mode)
-        pivots = linalg.column_rank_profile(_nonzero_rows(gram))
-        columns = _mod_images(phi, [[row[v] for v in pivots]
-                                    for row in gram])
-    else:
-        gram = None
-        images = _gram_images(s, t, mode, phi)
-        try:
-            pivots = linalg.certified_profile(
-                generic_hom_dim(s, t), images,
-                lambda: _nonzero_rows(_gram_matrix(s, t, mode)))
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"{s} -> {t}: {exc}") from exc
-        columns = None if images is None else \
-            [[row[v] for v in pivots] for row in images]
+    images = _gram_images(s, t, mode, phi)
+    try:
+        pivots = linalg.certified_profile(
+            hom_dim(s, t, mode), images,
+            lambda: _nonzero_rows(_gram_matrix(s, t, mode)))
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{s} -> {t}: {exc}") from exc
+    columns = None if images is None else \
+        [[row[v] for v in pivots] for row in images]
     coords = [_image_coordinates(d, mode) for d in diagrams]
     matrix_rank = len(linalg.certified_profile(
         min(len(diagrams), len(pivots)), _pairing_images(phi, coords, columns),
-        lambda: _pairing_rows(diagrams, gram or _gram_matrix(s, t, mode),
-                              pivots, mode)))
+        lambda: _pairing_rows(diagrams, _gram_matrix(s, t, mode), pivots,
+                              mode)))
     return pivots, matrix_rank

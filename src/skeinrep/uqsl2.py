@@ -422,22 +422,27 @@ def cg_dims(n: int, m: int, mode: Mode = GENERIC):
     return mults, has_negligible
 
 
-def generic_hom_dim(s: tuple, t: tuple) -> int:
-    """dim Hom(V_s, V_t) at generic q, for V_s = V_{s_1} (x) ... (x)
-    V_{s_m}: sum_w m_s(w) m_t(w), with m_s(w) the multiplicity of V_w in
-    V_s (Kassel, Quantum Groups, GTM 155, ch. VII)."""
-    ms, mt = _multiplicities(s), _multiplicities(t)
+def hom_dim(s: tuple, t: tuple, mode: Mode = GENERIC) -> int:
+    """sum_w m_s(w) m_t(w), m_s(w) the multiplicity of V_w in V_s =
+    V_{s_1} (x) ... (x) V_{s_m}, folded from cg_dims in mode.  At generic
+    q it is dim Hom(V_s, V_t) (Kassel, Quantum Groups, GTM 155, ch. VII).
+    At a root of unity, colors <= r - 2, cg_dims drops the negligible
+    summands, so it is the truncated fusion count: the dimension of
+    Hom(V_s, V_t) modulo negligible morphisms, the rank of the trace form
+    on it (Andersen, Tensor products of quantized tilting modules, CMP 149,
+    1992; Turaev, Quantum Invariants of Knots and 3-Manifolds, 1994)."""
+    ms, mt = _multiplicities(s, mode), _multiplicities(t, mode)
     return sum(m * mt.get(w, 0) for w, m in ms.items())
 
 
 @cache
-def _multiplicities(s: tuple) -> dict:
+def _multiplicities(s: tuple, mode: Mode) -> dict:
     # weight -> multiplicity in V_s, folded from cg_dims over the colors
     mults = {0: 1}
     for k in s:
         out: dict = {}
         for w, m in mults.items():
-            for x in cg_dims(w, k)[0]:
+            for x in cg_dims(w, k, mode)[0]:
                 out[x] = out.get(x, 0) + m
         mults = out
     return mults

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import random
+import re
 
 import pytest
 
@@ -27,7 +28,7 @@ from skeinrep.functor import (F_diagram, F_object, FunctorReport,
                               quantum_trace_rep,
                               rep_braiding, rep_coev, rep_ev, rep_twist,
                               verify_equivalence)
-from skeinrep.scalars import GENERIC, PoleError, RootMode, mod_map
+from skeinrep.scalars import GENERIC, PoleError, RootMode, mod_map, mod_root
 from skeinrep.tl_category import (braiding_tl, closure_trace, coev_tl, ev_tl,
                                   jones_wenzl, twist_tl)
 from skeinrep.turaev import (good_type_diagrams, hom_basis, object_seq,
@@ -305,10 +306,9 @@ def test_verify_equivalence_builds_no_tensor_product(monkeypatch, mode):
     # ever tensored on the verify_equivalence path, from cold caches
     cached = [functor._color_factors, uqsl2._symmetrizer_factors,
               functor._projector_coordinates,
-              functor._base_gram, functor._coordinate_gram,
-              functor._coordinate_images, functor._base_gram_images,
-              functor._image_gram, uqsl2._rep_hom_basis,
-              uqsl2._free_unknowns]
+              functor._base_gram, functor._coordinate_images,
+              functor._base_gram_images, functor._image_gram,
+              uqsl2._rep_hom_basis, uqsl2._free_unknowns]
     for f in cached:
         f.cache_clear()
 
@@ -482,7 +482,6 @@ def test_base_gram_matches_pairwise_traces(mode):
     # equals the pairwise trace, and the traces taken in each orientation
     # on their own show G(l, k) = G(k, l)^T and G(k, k) symmetric
     functor._base_gram.cache_clear()
-    functor._coordinate_gram.cache_clear()
     want = {}
     for k in range(9):
         for l in range(k % 2, 9 - k, 2):
@@ -510,7 +509,6 @@ SIZE_TEN = pytest.mark.parametrize(
 @SIZE_TEN
 def test_gram_matrix_matches_trace_oracle_at_size_ten(s, t, mode):
     functor._base_gram.cache_clear()
-    functor._coordinate_gram.cache_clear()
     assert verify_equivalence(s, t, mode).verdict == "iso"
     assert _gram_matrix(s, t, mode) == trace_gram_matrix(s, t, mode)
     if not t:
@@ -548,8 +546,7 @@ def _assert_certified_ranks_are_exact(calls, s, t, mode):
     and every basis it was given is independent and spans, checked
     exactly: it is the exact route's own, or the rank of the matrix on its
     columns is its size, which is the exact rank.  Returns the (Gram,
-    pairing) exact-route flags, None for a matrix that is not certified:
-    the Gram's at a root, and both for an empty Gram matrix (odd
+    pairing) exact-route flags, both None for an empty Gram matrix (odd
     |s| + |t|), which returns before any certificate."""
     calls.clear()
     report = verify_equivalence(s, t, mode)
@@ -562,27 +559,26 @@ def _assert_certified_ranks_are_exact(calls, s, t, mode):
     if not gram:
         assert not calls, (s, t)
         return [None, None]
-    certified_gram = not mode.is_root
-    assert len(calls) == 1 + certified_gram, (s, t)
-    for (basis, rows, _), exact in zip(calls, [pivots, pairing][-len(calls):]):
+    assert len(calls) == 2, (s, t)
+    for (basis, rows, _), exact in zip(calls, [pivots, pairing]):
         assert len(basis) == len(exact), (s, t)
         if basis != exact:
             kept = [{j: r[v] for j, v in enumerate(basis) if v in r}
                     for r in rows()]
             assert linalg.rank(kept) == len(basis), (s, t)
-    flags = [exact for _, _, exact in calls]
-    return flags if certified_gram else [None] + flags
+    return [exact for _, _, exact in calls]
 
 
 @pytest.mark.parametrize("mode, gram_exact", [
-    (GENERIC, 0), (RootMode(3), None), (RootMode(4), None),
-    (RootMode(5), None)], ids=str)
+    (GENERIC, 0), (RootMode(3), 0), (RootMode(4), 0), (RootMode(5), 0)],
+    ids=str)
 def test_certified_ranks_match_exact_elimination_on_criteria_6_and_7(
         monkeypatch, mode, gram_exact):
     # every pair of criterion 6 (generic) or 7 (root): the certificate
     # closes on all but gram_exact nonempty Gram matrices and on every
-    # pairing; a root's Gram matrix is eliminated exactly.  Generically
-    # the bound dim Hom(V_s, V_t) is the rank itself, so it closes on all
+    # pairing.  The bound uqsl2.hom_dim is the rank itself, dim Hom(V_s,
+    # V_t) generically and the truncated fusion count at a root, so it
+    # closes on all
     calls = _spy_certificate(monkeypatch)
     colors = (1, 2, 3) if not mode.is_root else tuple(range(1, mode.r - 1))
     seqs = _color_seqs(colors, 8)
@@ -591,8 +587,7 @@ def test_certified_ranks_match_exact_elimination_on_criteria_6_and_7(
              if seq_size(s) + seq_size(t) <= 8]
     assert len(flags) == {None: 963, 3: 45, 4: 512, 5: 963}[mode.r]
     assert sum(pairing or 0 for _, pairing in flags) == 0
-    assert (None if mode.is_root else sum(g or 0 for g, _ in flags)) \
-        == gram_exact
+    assert sum(g or 0 for g, _ in flags) == gram_exact
 
 
 @SIZE_TEN
@@ -600,7 +595,7 @@ def test_certified_ranks_match_exact_elimination_at_size_ten(
         monkeypatch, s, t, mode):
     calls = _spy_certificate(monkeypatch)
     gram, pairing = _assert_certified_ranks_are_exact(calls, s, t, mode)
-    assert (gram, pairing) == (None if mode.is_root else False, False)
+    assert (gram, pairing) == (False, False)
 
 
 @pytest.mark.parametrize("mode", [GENERIC, RootMode(5)], ids=str)
@@ -614,7 +609,7 @@ def test_unmapped_entries_take_the_exact_route(monkeypatch, mode):
     calls = _spy_certificate(monkeypatch)
     for s, t in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 1, 1), (3,))]:
         gram, pairing = _assert_certified_ranks_are_exact(calls, s, t, mode)
-        assert pairing and gram in (None, True), (s, t)
+        assert (gram, pairing) == (True, True), (s, t)
 
 
 def test_image_caches_are_keyed_by_phi(monkeypatch):
@@ -634,42 +629,91 @@ def test_image_caches_are_keyed_by_phi(monkeypatch):
 
 
 def test_gram_images_are_phi_of_the_traced_gram_matrix():
-    # every criterion 6 pair with |s|+|t| <= 6 and a seeded sample of size
-    # 8: phi(M_t) phi(G) phi(M_s)^T is phi of the Gram matrix traced with
-    # each projector built in full, entry by entry
-    phi = mod_map(GENERIC)
-    seqs = _color_seqs((1, 2, 3), 8)
-    pairs = [(s, t) for s in seqs for t in seqs
-             if seq_size(s) + seq_size(t) <= 6]
-    pairs += random.Random("gram images").sample(
-        [(s, t) for s in seqs for t in seqs
-         if seq_size(s) + seq_size(t) == 8], 6)
-    entries = 0
-    for s, t in pairs:
-        want = [[phi(x) for x in row] for row in trace_gram_matrix(s, t)]
-        assert functor._gram_images(s, t, GENERIC, phi) == want, (s, t)
-        entries += sum(map(len, want))
-    assert entries > 1000
+    # generic and at r = 3, 4, 5, every criterion 6 or 7 pair with
+    # |s|+|t| <= 6 and a seeded sample of size 8, and a seeded sample at
+    # r = 19: phi(M_t) phi(G) phi(M_s)^T is phi of the Gram matrix traced
+    # with each projector built in full, entry by entry
+    rng = random.Random("gram images")
+    cases = [(mode, colors, 6, 6) for mode, colors in [
+        (GENERIC, (1, 2, 3)), (RootMode(3), (1,)), (RootMode(4), (1, 2)),
+        (RootMode(5), (1, 2, 3))]] + [(RootMode(19), range(1, 8), 0, 8)]
+    for mode, colors, small, sampled in cases:
+        phi = mod_map(mode)
+        seqs = _color_seqs(colors, 8)
+        pairs = [(s, t) for s in seqs for t in seqs
+                 if seq_size(s) + seq_size(t) <= small]
+        pairs += rng.sample([(s, t) for s in seqs for t in seqs
+                             if seq_size(s) + seq_size(t) == 8], sampled)
+        entries = 0
+        for s, t in pairs:
+            want = [[phi(x) for x in row]
+                    for row in trace_gram_matrix(s, t, mode)]
+            assert functor._gram_images(s, t, mode, phi) == want, (mode, s, t)
+            entries += sum(map(len, want))
+        assert entries > (1000 if small else 50), mode
 
 
 def test_a_bound_below_the_rank_raises(monkeypatch):
-    # (1,1,1) -> (1,1,1) has a full-rank 5 x 5 Gram matrix: one below
-    # dim Hom(V_s, V_t), the image mod p shows the bound wrong, and no
-    # report carries the smaller number; the CLI prints one error line
-    s = t = (1, 1, 1)
-    gram = _gram_matrix(s, t, GENERIC)
-    assert linalg.rank(_sparse_rows(gram)) == len(gram) \
-        == uqsl2.generic_hom_dim(s, t) == 5
-    monkeypatch.setattr(functor, "generic_hom_dim", lambda s, t: 4)
-    with pytest.raises(ArithmeticError,
-                       match=r"^\(1, 1, 1\) -> \(1, 1, 1\): more than 4 "):
-        verify_equivalence(s, t)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["homdim", "1,1,1", "1,1,1"])
-    assert (code, out.getvalue()) == (1, "")
-    assert err.getvalue().startswith("error: (1, 1, 1) -> (1, 1, 1): ")
-    assert err.getvalue().count("\n") == 1
+    # (1,1,1) -> (1,1,1) has a full-rank 5 x 5 Gram matrix, and the 14 x
+    # 14 one of (1,1,1,1) -> itself has rank 13 at root:5, the truncated
+    # fusion count: one below uqsl2.hom_dim, the image mod p shows the
+    # bound wrong, and no report carries the smaller number; the CLI
+    # prints one error line
+    cases = [((1, 1, 1), GENERIC, 5), ((1, 1, 1, 1), RootMode(5), 13)]
+    for s, mode, rank in cases:
+        gram = _gram_matrix(s, s, mode)
+        assert linalg.rank(_sparse_rows(gram)) == uqsl2.hom_dim(s, s, mode) \
+            == rank
+    true_dim = uqsl2.hom_dim
+    monkeypatch.setattr(functor, "hom_dim",
+                        lambda s, t, mode: true_dim(s, t, mode) - 1)
+    for s, mode, rank in cases:
+        pair = re.escape(f"{s} -> {s}: ")
+        with pytest.raises(ArithmeticError,
+                           match=f"^{pair}more than {rank - 1} "):
+            verify_equivalence(s, s, mode)
+        out, err = io.StringIO(), io.StringIO()
+        name = ",".join(map(str, s))
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(["homdim", name, name, "--mode", str(mode)])
+        assert (code, out.getvalue()) == (1, ""), mode
+        assert err.getvalue().startswith(f"error: {s} -> {s}: "), mode
+        assert err.getvalue().count("\n") == 1, mode
+
+
+def test_without_phi_both_ranks_are_eliminated_exactly(monkeypatch):
+    # at r = 23, 4r does not divide p - 1, so no element of F_p has order
+    # 4r and there is no phi: both ranks come from exact elimination, and
+    # the report is the truncated fusion count
+    mode = RootMode(23)
+    assert mod_root(23) is None and mod_map(mode) is None
+    calls = _spy_certificate(monkeypatch)
+    for s, t in [((1, 1), (1, 1)), ((2, 1), (1, 2)), ((1, 1, 1), (3,)),
+                 ((1, 1, 1), (1, 1, 1))]:
+        assert _assert_certified_ranks_are_exact(calls, s, t, mode) \
+            == [True, True], (s, t)
+        report = verify_equivalence(s, t, mode)
+        assert report.verdict == "iso", (s, t)
+        assert report.dim_rep_side == hom_dimension(s, t, 23), (s, t)
+
+
+def test_certified_ranks_match_exact_elimination_past_r_five(monkeypatch):
+    # a seeded sample of even pairs at each r = 6..20, colors up to
+    # min(7, r - 2) and |s|+|t| <= 8: the truncated fusion count closes
+    # the Gram certificate on every nonempty Gram matrix, and every
+    # certified rank is the rank of exact elimination
+    calls = _spy_certificate(monkeypatch)
+    rng = random.Random("past r five")
+    for r in range(6, 21):
+        mode = RootMode(r)
+        seqs = _color_seqs(range(1, min(7, r - 2) + 1), 8)
+        pairs = [(s, t) for s in seqs for t in seqs
+                 if seq_size(s) + seq_size(t) <= 8
+                 and (seq_size(s) + seq_size(t)) % 2 == 0]
+        for s, t in rng.sample(pairs, 4):
+            flags = _assert_certified_ranks_are_exact(calls, s, t, mode)
+            assert flags == [False, False], (r, s, t)
 
 
 def _escaped_image(monkeypatch, mode):

@@ -9,7 +9,7 @@ from skeinrep import uqsl2
 from skeinrep.scalars import GENERIC, RootMode
 from skeinrep.uqsl2 import (HWVector, RepMap, TensorVector, act, act_Y_power,
                             cg_dims, cg_vector, elementary_morphisms,
-                            generic_hom_dim, highest_weight_basis,
+                            highest_weight_basis, hom_dim,
                             hw_projector, mask_weight, rep_hom_basis,
                             rep_hom_coordinates, weight_slice)
 
@@ -175,7 +175,25 @@ def test_generic_hom_dim_is_the_fusion_count():
     pairs = [(s, t) for s in seqs for t in seqs if sum(s) + sum(t) <= 8]
     assert len(pairs) == 963
     for s, t in pairs:
-        assert generic_hom_dim(s, t) == hom_dimension(s, t), (s, t)
+        assert hom_dim(s, t) == hom_dimension(s, t), (s, t)
+
+
+def test_root_hom_dim_is_the_truncated_fusion_count():
+    # every r = 3..20, colors up to min(7, r - 2), |s|+|t| <= 8: at a root
+    # the bound of the Gram certificate drops the negligible summands
+    truncated = 0
+    for r in range(3, 21):
+        seqs = [()]
+        for s in seqs:
+            seqs.extend(s + (c,) for c in range(1, min(7, r - 2) + 1)
+                        if sum(s) + c <= 8)
+        for s in seqs:
+            for t in seqs:
+                if sum(s) + sum(t) <= 8:
+                    want = hom_dimension(s, t, r)
+                    assert hom_dim(s, t, RootMode(r)) == want, (r, s, t)
+                    truncated += want < hom_dimension(s, t)
+    assert truncated > 800
 
 
 def test_rep_hom_basis_dims_and_intertwining():
